@@ -4,10 +4,12 @@ The conjugation operator on the span of Sczech cocycles
 
 The cocycles Psi(u, v), indexed by pairs of N-torsion points with
 (u, v) != (0, 0), span the degree-1 Eisenstein cohomology at level N.
-Conjugation acts on the span by a dense matrix whose every entry is
+Conjugation acts on the span by a matrix whose every entry is
 -1/(N^2(N^2-1)) minus a character value over N^2.  Three readings of
 that character are registered; construction-time periodicity plus the
-trace and involution tests single one out.
+trace and involution tests single one out.  Trace and involution defect
+come from the 4x4 Gram matrix of the pairing; the dense matrix is built
+only for the eigenvalues at the end.
 """
 
 import numpy as np

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 input error, 2 hard conformance failure in
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from fractions import Fraction
@@ -93,10 +94,9 @@ def emit(records: list[dict], fmt: str, out=None) -> None:
             if key not in columns:
                 columns.append(key)
     if fmt == "csv":
-        out.write(",".join(columns) + "\n")
-        for flat in flats:
-            out.write(",".join(f'"{flat.get(c, "")}"' if "," in flat.get(c, "") else flat.get(c, "")
-                               for c in columns) + "\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([flat.get(c, "") for c in columns] for flat in flats)
         return
     if fmt == "tex":
         for flat in flats:

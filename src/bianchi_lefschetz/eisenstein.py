@@ -2,14 +2,17 @@
 the conjugation operator on the span of Sczech cocycles.
 
 The degree-1 trace at level p^n (p inert, class number one) has two
-routes: a closed formula, and the numeric trace of an explicit operator
-on the formal span of the cocycles Psi(u, v), (u, v) != (0, 0), indexed
+routes: a closed formula, and the trace of an explicit operator on the
+formal span of the cocycles Psi(u, v), (u, v) != (0, 0), indexed
 by four residues mod N.  After eliminating Psi(0, 0) the operator's entry
 at (row (s,t), column (u,v)) is
 
     -1/(N^2 (N^2-1))  -  phi(pairing) / N^2,
 
 so its trace is -(N^2+1) whenever phi vanishes on the diagonal pairing.
+The pairing is bilinear mod N, so the operator is held as its 4 x 4 Gram
+matrix: the trace and the defect of M^2 = I come out in O(N^4), and the
+dense (N^4-1)^2 matrix is built only when it is the output.
 Which character phi and which pairing argument make this well defined is
 not obvious; three readings are registered as CharacterVariant and the
 construction-time periodicity check plus the trace / involution tests
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +43,12 @@ CHARACTER_VARIANTS = (LITERAL_D, INVERSE_DIFFERENT, SYMPLECTIC_INVDIFF)
 # the identity on the span.
 DEFAULT_VARIANT = SYMPLECTIC_INVDIFF
 
-SCZECH_SIZE_GUARD = 10**4
+# Bytes the Sczech operator may allocate, checked before allocating.
+# trace() and involution_defect() peak at 104-125 bytes per residue
+# quadruple (measured, N = 7..30); the dense matrix, built only for
+# `matrix` and the dump, needs 16 bytes per entry.
+SCZECH_MEMORY_BUDGET = 2**30
+_BYTES_PER_POINT = 160
 
 
 class IllDefinedVariantError(ConformanceError):
@@ -208,27 +217,115 @@ def variant_periodicity_defect(field: QuadField, variant: str) -> float:
     return abs(_character_on_omega(field, variant) - 1.0)
 
 
+def _require_memory(need: int, what: str) -> None:
+    if need > SCZECH_MEMORY_BUDGET:
+        raise InputError(f"{what} needs about {need / 2**20:.0f} MiB, over the "
+                         f"{SCZECH_MEMORY_BUDGET / 2**20:.0f} MiB budget")
+
+
+def _require_dense(N: int) -> None:
+    size = N**4 - 1
+    _require_memory(16 * size * size, f"the dense {size} x {size} matrix")
+
+
 @dataclass
 class SczechOperator:
-    """Dense complex matrix of the conjugation action on the cocycle span.
+    """Conjugation action on the cocycle span, held as its pairing.
 
-    Index set: quadruples (a1, b1, a2, b2) mod N, zero excluded, in
-    lexicographic order; the quadruple encodes the pair of torsion points
-    u = (a1 + b1 w)/N, v = (a2 + b2 w)/N.
+    Index set: quadruples x = (a1, b1, a2, b2) mod N, zero excluded, in
+    lexicographic order; x encodes the pair of torsion points
+    u = (a1 + b1 w)/N, v = (a2 + b2 w)/N.  The entry at (x, z) is
+    -a - e(x^T A z / N) / N^2 with a = 1/(N^2 (N^2 - 1)) and
+    e(t) = exp(2 pi i t), so the 4 x 4 integer Gram matrix A of the pairing
+    fixes the operator.  trace() and involution_defect() are read off A in
+    O(N^4); the dense matrix is built only when asked for.
     """
     field: QuadField
     N: int
     variant: str
-    indices: list[tuple[int, int, int, int]]
-    matrix: np.ndarray
+    gram: np.ndarray
+
+    @cached_property
+    def _points(self) -> np.ndarray:
+        """The index set as an (N^4 - 1) x 4 integer array."""
+        return np.indices((self.N,) * 4).reshape(4, -1).T[1:]
+
+    @cached_property
+    def indices(self) -> list[tuple[int, int, int, int]]:
+        return [tuple(x) for x in self._points.tolist()]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense (N^4 - 1) x (N^4 - 1) complex matrix."""
+        _require_dense(self.N)
+        size = self.N**4 - 1
+        values = self._entry_values()
+        out = np.empty((size, size), dtype=complex)
+        step = max(1, 2**20 // size)
+        for start, exponents in self._exponent_rows(step):
+            out[start:start + step] = values[exponents]
+        return out
+
+    def _entry_values(self) -> np.ndarray:
+        """The N values an entry takes, indexed by its pairing exponent."""
+        n2 = self.N**2
+        chi = np.exp(2j * np.pi * np.arange(self.N) / self.N)
+        return -1.0 / (n2 * (n2 - 1)) - chi / n2
+
+    def _exponent_rows(self, step: int):
+        """(first row, pairing exponents x^T A z mod N) for `step` rows x at a time."""
+        x = self._points
+        right = self.gram @ x.T
+        for start in range(0, len(x), step):
+            yield start, x[start:start + step] @ right % self.N
 
     def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
+        """Sum of the diagonal, from the counts c_k of q(x) = x^T A x = k mod N:
+
+            -(N^4 - 1) / (N^2 (N^2 - 1)) - sum_k c_k e(k/N) / N^2,
+
+        with the k = 0 part exact, so it is exactly -(N^2 + 1) when q vanishes.
+        """
+        N, n2, x = self.N, self.N**2, self._points
+        counts = np.bincount((x @ self.gram * x).sum(axis=1) % N, minlength=N)
+        exact = -Fraction(n2 * n2 - 1, n2 * (n2 - 1)) - Fraction(int(counts[0]), n2)
+        roots = np.exp(2j * np.pi * np.arange(1, N) / N)
+        return float(exact) - complex(counts[1:] @ roots) / n2
 
     def involution_defect(self) -> float:
-        m = self.matrix
-        eye = np.eye(m.shape[0], dtype=complex)
-        return float(np.abs(m @ m - eye).max())
+        """max |M^2 - I| over all entries, exactly, from the structure of M^2.
+
+        Write M = -a J - chi / N^2 with J all ones.  On the index set
+
+            chi^2[x, z] = N^4 [A^T x + A z = 0] - 1,
+            (chi J)[x, z] = N^4 [A^T x = 0] - 1,   (J chi)[x, z] = N^4 [A z = 0] - 1,
+
+        so an entry of M^2 - I depends only on rL = [A^T x = 0], rR = [A z = 0],
+        dlt = [-A^T x = A z] and [x = z].  With -A^T x and A z encoded as
+        integers u(x) and v(z), bincounts give how many entries carry each
+        indicator tuple; the maximum runs over the tuples that occur.
+        """
+        N, x = self.N, self._points
+        size, n2, n4 = len(x), N**2, N**4
+        place = N ** np.arange(3, -1, -1)
+        u = -(x @ self.gram) % N @ place
+        v = x @ self.gram.T % N @ place
+        cu, cv = np.bincount(u, minlength=n4), np.bincount(v, minlength=n4)
+        u0, v0, matched = int(cu[0]), int(cv[0]), int(cu[1:] @ cv[1:])
+        # entries per code 4 rL + 2 rR + dlt: over the whole matrix, on its diagonal
+        total = {0b000: (size - u0) * (size - v0) - matched, 0b001: matched,
+                 0b010: (size - u0) * v0, 0b100: u0 * (size - v0), 0b111: u0 * v0}
+        diagonal = np.bincount(4 * (u == 0) + 2 * (v == 0) + (u == v), minlength=8)
+
+        a = Fraction(1, n2 * (n2 - 1))
+
+        def entry(code: int, eq: int) -> Fraction:
+            r_sum, dlt = (code >> 2) + (code >> 1 & 1), code & 1
+            return a * a * size + a / n2 * (n4 * r_sum - 2) + dlt - Fraction(1, n4) - eq
+
+        occurring = [entry(c, 1) for c in range(8) if diagonal[c]]
+        occurring += [entry(c, 0) for c, n in total.items() if n > diagonal[c]]
+        return float(max(abs(e) for e in occurring))
 
 
 def _pairing_exponents(field: QuadField, N: int, variant: str,
@@ -267,12 +364,10 @@ def _pairing_exponents(field: QuadField, N: int, variant: str,
 
 
 def sczech_operator(field: QuadField, N: int, variant: str = DEFAULT_VARIANT) -> SczechOperator:
-    """Build the (N^4 - 1) x (N^4 - 1) operator matrix for the chosen variant."""
+    """The operator for the chosen variant, held as the Gram matrix of its pairing."""
     if N < 2:
         raise InputError(f"sczech_operator requires N >= 2, got {N}")
-    size = N**4 - 1
-    if size > SCZECH_SIZE_GUARD:
-        raise InputError(f"matrix size {size} exceeds the guard {SCZECH_SIZE_GUARD}")
+    _require_memory(_BYTES_PER_POINT * N**4, f"the operator at N={N}")
     if variant not in CHARACTER_VARIANTS:
         raise InputError(f"unknown character variant {variant!r}")
     defect = variant_periodicity_defect(field, variant)
@@ -280,18 +375,9 @@ def sczech_operator(field: QuadField, N: int, variant: str = DEFAULT_VARIANT) ->
         raise IllDefinedVariantError(
             f"variant {variant!r} is not O-periodic (defect {defect:.3e}); "
             "it does not define an operator on classes of torsion points")
-
-    indices = [(x1, y1, x2, y2)
-               for x1 in range(N) for y1 in range(N)
-               for x2 in range(N) for y2 in range(N)][1:]  # drop (0,0,0,0)
-    arr = np.array(indices, dtype=np.int64)
-    a1, b1, a2, b2 = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
-    e = _pairing_exponents(field, N, variant, a1, b1, a2, b2)
-    chi = np.exp(2j * np.pi * e / N)
-    n2 = N * N
-    matrix = -1.0 / (n2 * (n2 - 1)) - chi / n2
-    return SczechOperator(field=field, N=N, variant=variant,
-                          indices=indices, matrix=matrix)
+    # the pairing on the four basis vectors (rows of the identity) is A
+    gram = _pairing_exponents(field, N, variant, *np.eye(4, dtype=np.int64))
+    return SczechOperator(field=field, N=N, variant=variant, gram=gram)
 
 
 @dataclass(frozen=True)
@@ -310,11 +396,13 @@ def sczech_trace(field: QuadField, N: int, variant: str = DEFAULT_VARIANT) -> Sc
 
 
 def write_matrix_dump(op: SczechOperator, path: str) -> None:
-    """Plain-text dump: one 'i j re im' row per entry, row-major, 17 digits."""
+    """Plain-text dump: one 'i j re im' row per entry, row-major, 17 digits.
+
+    An entry takes one of N values, fixed by its pairing exponent, so each
+    value is formatted once and the rows are streamed.
+    """
+    _require_dense(op.N)
+    cells = [f"{z.real:.17g} {z.imag:.17g}\n" for z in op._entry_values()]
     with open(path, "w") as fh:
-        m = op.matrix
-        for i in range(m.shape[0]):
-            row = m[i]
-            for j in range(m.shape[1]):
-                z = row[j]
-                fh.write(f"{i} {j} {z.real:.17g} {z.imag:.17g}\n")
+        for i, (row,) in op._exponent_rows(1):
+            fh.write("".join([f"{i} {j} {cells[k]}" for j, k in enumerate(row.tolist())]))

@@ -1,6 +1,10 @@
+import csv
+import io
 import json
 
-from bianchi_lefschetz.cli import argv_of_record, main
+from bianchi_lefschetz import finitering, verify
+from bianchi_lefschetz.cli import argv_of_record, emit, main
+from bianchi_lefschetz.exactmath import ConformanceError
 
 
 def run_cli(capsys, *argv):
@@ -181,11 +185,56 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "fixedpoints")
         assert code == 0
         assert "DIAG fixedpoints: tau coset census" in out
+        assert "census 24 vs closed formula 4, ratio 6," in out
+
+    def test_raising_check_is_a_fail_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(finitering, "sl2_order_formula", lambda field, N: 1)
+        code, out, err = run_cli(capsys, "verify", "cusps")
+        assert code == 2 and not err
+        assert "FAIL cusps: check raised ConformanceError: SL2 order mismatch" in out
+        code, out, err = run_cli(capsys, "verify", "all")
+        assert code == 2 and not err
+        assert "PASS anchors: GL2 trace at (d=-2, k=0) == 0" in out
+
+    def test_sl2_order_check_can_fail(self, capsys, monkeypatch):
+        real = finitering.sl2_order_formula
+        monkeypatch.setattr(finitering, "sl2_order_formula",
+                            lambda field, N: real(field, N) + (N == 6))
+        code, out, _ = run_cli(capsys, "verify", "cusps")
+        assert code == 2
+        assert "PASS cusps: cusp count (d=-2, N=3)" in out
+        assert "FAIL cusps: SL2 orders: enumeration == norm formula" in out
+
+    def test_prime_power_integrality_check_can_fail(self, capsys, monkeypatch):
+        real = verify.lefschetz_sigma_principal
+
+        def non_integral_at_32(field, level, k):
+            if level == 32:
+                raise ConformanceError("L(sigma, Gamma(32), k=1) is not an integer")
+            return real(field, level, k)
+
+        monkeypatch.setattr(verify, "lefschetz_sigma_principal", non_integral_at_32)
+        code, out, _ = run_cli(capsys, "verify", "integrality")
+        assert code == 2
+        assert ("FAIL integrality: principal-level Lefschetz numbers integral "
+                "on prime powers N in [3,40]") in out
+        assert "PASS integrality: principal-level formula == prime-power formula" in out
 
     def test_unknown_suite_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "nope")
         assert code == 1
         assert "unknown verify suite" in err
+
+
+def test_csv_quotes_commas_and_quotes():
+    value = 'a "quoted", listed value'
+    rec = {"query": {"command": "field", "d": "-2"}, "result": {"note": value},
+           "warnings": ['says "hi", twice'], "provenance": {}}
+    out = io.StringIO()
+    emit([rec], "csv", out)
+    header, row = csv.reader(io.StringIO(out.getvalue()))
+    assert dict(zip(header, row))["result.note"] == value
+    assert dict(zip(header, row))["warnings"] == 'says "hi", twice'
 
 
 def test_exit_code_aggregation_flags_hard_failures():

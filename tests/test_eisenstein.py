@@ -1,9 +1,13 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from bianchi_lefschetz.eisenstein import (CHARACTER_VARIANTS,
+from bianchi_lefschetz.eisenstein import (CHARACTER_VARIANTS, DEFAULT_VARIANT,
                                           INVERSE_DIFFERENT, LITERAL_D,
-                                          IllDefinedVariantError, boundary_dims,
+                                          IllDefinedVariantError, SczechOperator,
+                                          _pairing_exponents, boundary_dims,
                                           cusp_count, eis_dim,
                                           level_one_sigma_traces, sczech_operator,
                                           sczech_trace, trace_sigma_h1_eis,
@@ -15,6 +19,28 @@ from bianchi_lefschetz.finitering import cusp_count_bruteforce
 from bianchi_lefschetz.quadfield import make_field
 
 F2, F5, F7, F11 = (make_field(d) for d in (-2, -5, -7, -11))
+ADMISSIBLE = (INVERSE_DIFFERENT, DEFAULT_VARIANT)
+
+
+def dense_reference(field, N, variant):
+    """The operator matrix with every exponent taken from the full
+    (N^4 - 1) x (N^4 - 1) table of _pairing_exponents, not from A."""
+    idx = np.array([(x1, y1, x2, y2) for x1 in range(N) for y1 in range(N)
+                    for x2 in range(N) for y2 in range(N)][1:], dtype=np.int64)
+    e = _pairing_exponents(field, N, variant, *idx.T)
+    chi = np.exp(2j * np.pi * e / N)
+    n2 = N * N
+    return -1.0 / (n2 * (n2 - 1)) - chi / n2
+
+
+def dump_sha256(matrix, path):
+    """sha256 of the entry-by-entry dump of a dense matrix."""
+    with open(path, "w") as fh:
+        for i in range(matrix.shape[0]):
+            for j in range(matrix.shape[1]):
+                z = matrix[i, j]
+                fh.write(f"{i} {j} {z.real:.17g} {z.imag:.17g}\n")
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestCuspCount:
@@ -150,9 +176,60 @@ class TestSczechOperator:
         tr = sczech_trace(F2, 5)
         assert abs(tr.value - trace_sigma_h1_eis(F2, 5, 1)) < 1e-8
 
-    def test_size_guard(self):
+    def test_size_guard(self, tmp_path):
+        op = sczech_operator(F2, 11)       # matrix-free: O(N^4) only
+        assert op.trace() == -(11 * 11 + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError):
+                op.matrix                   # 16 (11^4 - 1)^2 bytes, over budget
+            with pytest.raises(InputError):
+                write_matrix_dump(op, str(tmp_path / "dump.txt"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20                 # refused before allocating
+        assert not (tmp_path / "dump.txt").exists()
         with pytest.raises(InputError):
-            sczech_operator(F2, 11)    # 11^4 - 1 > 10^4
+            sczech_operator(F2, 60)         # even O(N^4) is over budget
+
+    def test_matrix_free_matches_dense(self):
+        for f in (F2, F5, F7, F11):
+            for N in (2, 3, 4):
+                for variant in ADMISSIBLE:
+                    op = sczech_operator(f, N, variant)
+                    m = dense_reference(f, N, variant)
+                    assert np.array_equal(op.matrix, m)
+                    assert abs(op.trace() - np.trace(m)) < 1e-12
+                    defect = np.abs(m @ m - np.eye(len(m))).max()
+                    assert abs(op.involution_defect() - defect) < 1e-12
+
+    def test_matrix_free_matches_dense_for_degenerate_pairings(self):
+        # The admissible pairings are perfect, so A x = 0 only at x = 0;
+        # these Gram matrices are not, and exercise the other indicator tuples.
+        grams = (np.zeros((4, 4)), np.diag([1, 0, 0, 0]), 2 * np.eye(4),
+                 np.array([[0, 1, 0, 0], [3, 0, 0, 2], [0, 0, 0, 0], [1, 2, 0, 1]]))
+        for N in (2, 3, 4):
+            for gram in grams:
+                op = SczechOperator(F2, N, DEFAULT_VARIANT, gram.astype(np.int64))
+                m = op.matrix
+                assert abs(op.trace() - np.trace(m)) < 1e-12
+                defect = np.abs(m @ m - np.eye(len(m))).max()
+                assert abs(op.involution_defect() - defect) < 1e-12
+
+    def test_large_level_exact(self):
+        op = sczech_operator(F2, 30)
+        assert op.trace() == -901
+        assert op.involution_defect() < 1e-9
+
+    def test_matrix_dump_byte_identical_to_dense(self, tmp_path):
+        for N in (2, 3, 4):
+            for variant in ADMISSIBLE:
+                path = tmp_path / "dump.txt"
+                write_matrix_dump(sczech_operator(F7, N, variant), str(path))
+                got = hashlib.sha256(path.read_bytes()).hexdigest()
+                want = dump_sha256(dense_reference(F7, N, variant), tmp_path / "ref.txt")
+                assert got == want
 
     def test_vectorized_matrix_matches_scalar_mirror(self):
         # scalar re-derivation of every entry, guarding the outer-product

@@ -9,7 +9,8 @@ from bianchi_lefschetz.finitering import (FiniteRing, cusp_count_bruteforce,
                                           projective_line_zmod, sigma_mat,
                                           sl2_order, sl2_order_formula, tau_mat)
 from bianchi_lefschetz.oracles import is_unimodular_pair_oracle
-from bianchi_lefschetz.quadfield import make_field
+from bianchi_lefschetz.quadfield import (INERT, RAMIFIED, SPLIT, make_field,
+                                         splitting_type)
 
 F2, F5, F7, F11 = (make_field(d) for d in (-2, -5, -7, -11))
 
@@ -153,6 +154,26 @@ class TestFixedCosets:
         assert (rep.census, rep.closed_formula, rep.matches) == (24, 4, False)
         rep = fixed_coset_report(FiniteRing(F7, 3), "tau")
         assert (rep.census, rep.closed_formula, rep.matches) == (8, 2, False)
+
+    def test_tau_census_is_p_plus_one_times_formula(self):
+        # A pin on the current output, not a claim about which side is
+        # right: on every unramified point of d in {-2, -5, -7},
+        # p in {3, 5, 7, 11}, n in {1, 2} with p^n <= 49, the tau census is
+        # exactly p + 1 times the closed factor p^(2n-1) - p^(2n-2).
+        points = 0
+        seen = set()
+        for d in (-2, -5, -7):
+            f = make_field(d)
+            for p in (3, 5, 7, 11):
+                spl = splitting_type(f, p)
+                for n in (1, 2):
+                    if spl == RAMIFIED or p**n > 49:
+                        continue
+                    rep = fixed_coset_report(FiniteRing(f, p**n), "tau")
+                    assert rep.census == (p + 1) * rep.closed_formula, (d, p, n)
+                    points += 1
+                    seen.add(spl)
+        assert points == 17 and seen == {SPLIT, INERT}
 
     def test_rejects_ramified_and_even(self):
         with pytest.raises(InputError):
