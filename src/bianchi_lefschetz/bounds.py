@@ -18,9 +18,9 @@ from fractions import Fraction
 
 from .eisenstein import cusp_count, trace_sigma_h1_eis, trace_sigma_h2_eis
 from .exactmath import ConformanceError, InputError, euler_phi
-from .lefschetz import (DEFAULT_BRACKET, SIGMA, TAU, lefschetz_level_one,
-                        lefschetz_sigma_principal, make_level)
-from .quadfield import INERT, QuadField, make_field
+from .lefschetz import (DEFAULT_BRACKET, lefschetz_level_one, lefschetz_sigma_principal,
+                        make_level)
+from .quadfield import INERT, SIGMA, TAU, QuadField, make_field
 
 EXACT, WORST_CASE = "exact", "worst_case"
 

@@ -29,9 +29,8 @@ from fractions import Fraction
 import numpy as np
 
 from .exactmath import ConformanceError, InputError, as_integer, factorize
-from .quadfield import INERT, RAMIFIED, SPLIT, QuadField, splitting_type, two_torsion_count
-
-SIGMA, TAU = "sigma", "tau"
+from .quadfield import (INERT, RAMIFIED, QuadField, norm_euler_product, splitting_type,
+                        two_torsion_count)
 
 LITERAL_D = "literal-d"
 INVERSE_DIFFERENT = "inverse-different"
@@ -65,16 +64,7 @@ def cusp_count(field: QuadField, N: int) -> int:
     """c(Gamma(N)) = h * N^4 * prod over primes P of (N) of (1 - Norm(P)^-2)."""
     if N < 3:
         raise InputError(f"cusp_count requires N >= 3, got {N}")
-    total = field.h * Fraction(N) ** 4
-    for p, _ in factorize(N):
-        spl = splitting_type(field, p)
-        if spl == SPLIT:
-            total *= (1 - Fraction(1, p * p)) ** 2
-        elif spl == INERT:
-            total *= 1 - Fraction(1, p**4)
-        else:
-            total *= 1 - Fraction(1, p * p)
-    return as_integer(total, "cusp count")
+    return as_integer(field.h * N**4 * norm_euler_product(field, N), "cusp count")
 
 
 def boundary_dims(field: QuadField, N: int, k: int) -> tuple[int, int, int]:

@@ -8,35 +8,10 @@ matrices.  Nothing in this module touches floating point.
 
 from __future__ import annotations
 
-import json
-import os
 from fractions import Fraction
 from typing import Union
 
 Rational = Union[int, Fraction]
-
-CACHE_ENV = "BIANCHI_LEFSCHETZ_CACHE"
-
-
-def cache_fetch(name: str) -> int | None:
-    """Read a memoized integer from the optional cache directory."""
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    path = os.path.join(root, name + ".json")
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        return int(json.load(fh)["value"])
-
-
-def cache_store(name: str, value: int) -> None:
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return
-    os.makedirs(root, exist_ok=True)
-    with open(os.path.join(root, name + ".json"), "w") as fh:
-        json.dump({"value": str(value)}, fh)
 
 
 class InputError(ValueError):

@@ -8,23 +8,25 @@ the CRT isomorphism independently to cross-check).
 
 The censuses in this module are the exhaustive side of dual-route checks:
 SL2 orders, projective lines, unipotent-coset fixed-point counts under
-the two involutions, and cusp counts.
+the two involutions, and cusp counts.  None of them uses a closed formula.
+Each does work in proportion to what it must examine: the projective line
+visits each of the N^4 pairs once and scales only orbit representatives,
+the coset census pairs the O(N) fixed first coordinates with the O(N)
+fixed second coordinates, and the brute SL2 filter looks up d from
+(a, b, c) in |R|^3 steps.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exactmath import (ConformanceError, InputError, as_integer, cache_fetch,
-                        cache_store, factorize)
-from .quadfield import INERT, RAMIFIED, SPLIT, QuadField, splitting_type
+from .exactmath import ConformanceError, InputError, as_integer, factorize
+from .quadfield import (INERT, RAMIFIED, SIGMA, SPLIT, TAU, QuadField,
+                        norm_euler_product, splitting_type)
 
 Elem = tuple[int, int]
 Mat = tuple[Elem, Elem, Elem, Elem]  # (a, b, c, d) row-major
-
-SIGMA, TAU = "sigma", "tau"
 
 
 class FiniteRing:
@@ -187,16 +189,7 @@ def tau_mat(ring: FiniteRing, m: Mat) -> Mat:
 
 def sl2_order_formula(field: QuadField, N: int) -> int:
     """#SL2(O/(N)) = N^6 * prod over primes of (N) of (1 - Norm(P)^-2)."""
-    total = Fraction(N) ** 6
-    for p, _ in factorize(N):
-        spl = splitting_type(field, p)
-        if spl == SPLIT:
-            total *= (1 - Fraction(1, p * p)) ** 2
-        elif spl == INERT:
-            total *= 1 - Fraction(1, p**4)
-        else:
-            total *= 1 - Fraction(1, p * p)
-    return as_integer(total, "SL2 order")
+    return as_integer(N**6 * norm_euler_product(field, N), "SL2 order")
 
 
 def _sl2_count_exhaustive(ring: FiniteRing) -> int:
@@ -216,10 +209,6 @@ def sl2_order(ring: FiniteRing) -> int:
     Wherever both routes run they must agree; a mismatch raises, since it
     would mean either the enumeration or the norm formula is wrong.
     """
-    key = f"sl2_d{ring.field.d}_N{ring.N}"
-    cached = cache_fetch(key)
-    if cached is not None:
-        return cached
     formula = sl2_order_formula(ring.field, ring.N)
     if ring.N <= 9:
         exhaustive = _sl2_count_exhaustive(ring)
@@ -227,12 +216,19 @@ def sl2_order(ring: FiniteRing) -> int:
             raise ConformanceError(
                 f"SL2 order mismatch at (d={ring.field.d}, N={ring.N}): "
                 f"enumeration {exhaustive} vs formula {formula}")
-    cache_store(key, formula)
     return formula
 
 
 def enumerate_sl2(ring: FiniteRing) -> list[Mat]:
-    """All of SL2(R).  Brute filter for small R, column completion for local R."""
+    """All of SL2(R).
+
+    Non-local R with |R|^4 <= 200 000: a brute filter in |R|^3 steps.  For
+    each a the d are bucketed by a*d, and each (a, b, c) takes the d in
+    bucket[1 + b*c]; the list is in lexicographic (a, b, c, d) order.
+    Local R: every unimodular column (a, c) has a unit coordinate, so each
+    is completed to one matrix and the unipotent fiber over it is swept;
+    the work is the size of the output.
+    """
     els = ring.elements()
     n4 = len(els) ** 4
     local = len(ring.primes) == 1 and ring.primes[0][2] in (INERT, RAMIFIED)
@@ -240,12 +236,17 @@ def enumerate_sl2(ring: FiniteRing) -> list[Mat]:
         raise InputError(f"SL2 enumeration too large for (d={ring.field.d}, N={ring.N})")
     if n4 <= 200_000 and not local:
         one = ring.one
-        return [(a, b, c, d)
-                for a in els for b in els for c in els for d in els
-                if ring.sub(ring.mul(a, d), ring.mul(b, c)) == one]
-    # Local ring: every unimodular column has a unit coordinate.  Complete
-    # each column (a, c) to one matrix, then sweep the unipotent fiber.
-    out: list[Mat] = []
+        out: list[Mat] = []
+        for a in els:
+            by_product: dict[Elem, list[Elem]] = {}
+            for d in els:
+                by_product.setdefault(ring.mul(a, d), []).append(d)
+            for b in els:
+                for c in els:
+                    out.extend((a, b, c, d)
+                               for d in by_product.get(ring.add(one, ring.mul(b, c)), ()))
+        return out
+    out = []
     for a in els:
         for c in els:
             if not ring.is_unimodular(a, c):
@@ -259,35 +260,49 @@ def enumerate_sl2(ring: FiniteRing) -> list[Mat]:
     return out
 
 
-def projective_line(ring: FiniteRing) -> list[tuple[Elem, Elem]]:
-    """Canonical representatives of P^1(O/(N)) for prime-power N.
+def _orbit_minima(points, index, unimodular, scale, units):
+    """The least pair of each unit orbit of unimodular pairs, in order.
 
-    A point is a unimodular pair up to unit scaling; the representative is
-    the minimum of the orbit in coefficient encoding.
+    `points` must be listed in increasing order, with `index` its inverse.
+    Pairs are scanned lexicographically, so the first unmarked unimodular
+    pair is its orbit's minimum; it is kept and its whole orbit marked.
+    Each pair is visited once and only kept pairs are scaled, so the cost
+    is |points|^2 visits plus 2 * |units| products per orbit.
+    """
+    size = len(points)
+    marked = bytearray(size * size)
+    reps = []
+    for i, x in enumerate(points):
+        for j, y in enumerate(points):
+            if marked[i * size + j] or not unimodular(x, y):
+                continue
+            reps.append((x, y))
+            for u in units:
+                marked[index(scale(u, x)) * size + index(scale(u, y))] = 1
+    return reps
+
+
+def projective_line(ring: FiniteRing) -> list[tuple[Elem, Elem]]:
+    """Canonical representatives of P^1(O/(N)) for prime-power N, sorted.
+
+    A point is a unimodular pair up to unit scaling; its representative is
+    the minimum of the orbit in coefficient encoding, found as the first
+    pair of the orbit in a lexicographic scan.  O(N^4) work: each pair is
+    visited once, and 2 * |units| products per point mark its orbit.
     """
     if len(ring.primes) != 1:
         raise InputError("projective_line is implemented for prime-power N only")
-    units = ring.units()
-    reps = set()
-    for x in ring.elements():
-        for y in ring.elements():
-            if ring.is_unimodular(x, y):
-                reps.add(min((*ring.mul(u, x), *ring.mul(u, y)) for u in units))
-    return sorted(((e[0], e[1]), (e[2], e[3])) for e in reps)
+    N = ring.N
+    return _orbit_minima(ring.elements(), lambda x: x[0] * N + x[1],
+                         ring.is_unimodular, ring.mul, ring.units())
 
 
 def projective_line_zmod(n: int) -> list[tuple[int, int]]:
-    """P^1(Z/n): canonical unimodular pairs up to units of Z/n."""
+    """P^1(Z/n): the least unimodular pair of each unit orbit, sorted."""
     from math import gcd
 
-    units = [u for u in range(n) if gcd(u, n) == 1]
-    reps = set()
-    for x in range(n):
-        for y in range(n):
-            if gcd(gcd(x, y), n) != 1:
-                continue
-            reps.add(min(((u * x) % n, (u * y) % n) for u in units))
-    return sorted(reps)
+    return _orbit_minima(range(n), lambda x: x, lambda x, y: gcd(gcd(x, y), n) == 1,
+                         lambda u, x: u * x % n, [u for u in range(n) if gcd(u, n) == 1])
 
 
 def fixed_coset_count(ring: FiniteRing, involution: str) -> int:
@@ -297,7 +312,8 @@ def fixed_coset_count(ring: FiniteRing, involution: str) -> int:
     columns (a, c); the involution fixes a coset exactly when it fixes the
     column: (sigma a, sigma c) = (a, c) for sigma and
     (sigma a, -sigma c) = (a, c) for tau.  Requires N = p^n with p an odd
-    unramified prime.
+    unramified prime.  One pass over R collects the admissible a and c
+    (O(N) of each); their product is then tested pair by pair, O(N^2).
     """
     if involution not in (SIGMA, TAU):
         raise InputError(f"unknown involution {involution!r}")
@@ -306,17 +322,14 @@ def fixed_coset_count(ring: FiniteRing, involution: str) -> int:
     p, _, spl, _ = ring.primes[0]
     if p == 2 or spl == RAMIFIED:
         raise InputError("fixed_coset_count requires an odd unramified prime")
-    count = 0
-    for a in ring.elements():
-        sa = ring.sigma(a)
-        if sa != a:
-            continue
-        for c in ring.elements():
-            sc = ring.sigma(c)
-            want = sc if involution == SIGMA else ring.neg(sc)
-            if want == c and ring.is_unimodular(a, c):
-                count += 1
-    return count
+    fixed_a, fixed_c = [], []
+    for x in ring.elements():
+        sx = ring.sigma(x)
+        if sx == x:
+            fixed_a.append(x)
+        if (sx if involution == SIGMA else ring.neg(sx)) == x:
+            fixed_c.append(x)
+    return sum(1 for a in fixed_a for c in fixed_c if ring.is_unimodular(a, c))
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,7 @@ from math import prod
 
 from .exactmath import (ConformanceError, InputError, as_integer, factorize,
                         hilbert2, kronecker, legendre, sym_power_trace)
-from .quadfield import RAMIFIED, QuadField, splitting_type, two_torsion_count
-
-SIGMA, TAU = "sigma", "tau"
+from .quadfield import RAMIFIED, SIGMA, TAU, QuadField, splitting_type, two_torsion_count
 
 RATIONAL = "rational"
 KRONECKER = "kronecker"

@@ -14,6 +14,7 @@ omega^2 = T*omega - Nm with T = trace(omega), Nm = norm(omega).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .exactmath import InputError, factorize, is_prime, kronecker
 
@@ -67,14 +68,7 @@ def reduced_forms(D: int) -> list[tuple[int, int, int]]:
 
 
 def class_number_from_discriminant(D: int) -> int:
-    from .exactmath import cache_fetch, cache_store
-
-    cached = cache_fetch(f"classnum_D{D}")
-    if cached is not None:
-        return cached
-    h = len(reduced_forms(D))
-    cache_store(f"classnum_D{D}", h)
-    return h
+    return len(reduced_forms(D))
 
 
 def ambiguous_form_count(D: int) -> int:
@@ -118,6 +112,10 @@ def make_field(d: int) -> QuadField:
 
 SPLIT, INERT, RAMIFIED = "split", "inert", "ramified"
 
+# The two involutions: sigma is the Galois conjugation; tau composes it
+# with conjugation by diag(-1, 1) on matrices.
+SIGMA, TAU = "sigma", "tau"
+
 
 def splitting_type(field: QuadField, p: int) -> str:
     """Behavior of the rational prime p in O: split, inert or ramified."""
@@ -126,6 +124,24 @@ def splitting_type(field: QuadField, p: int) -> str:
     if p in field.ramified_primes:
         return RAMIFIED
     return SPLIT if kronecker(field.D, p) == 1 else INERT
+
+
+def norm_euler_product(field: QuadField, N: int) -> Fraction:
+    """prod over the primes P of O dividing N of (1 - Norm(P)^-2), exactly.
+
+    The factor shared by #SL2(O/(N)) = N^6 * product and the cusp count
+    h * N^4 * product.
+    """
+    total = Fraction(1)
+    for p, _ in factorize(N):
+        spl = splitting_type(field, p)
+        if spl == SPLIT:
+            total *= (1 - Fraction(1, p * p)) ** 2
+        elif spl == INERT:
+            total *= 1 - Fraction(1, p**4)
+        else:
+            total *= 1 - Fraction(1, p * p)
+    return total
 
 
 def class_number(field: QuadField) -> int:

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from bianchi_lefschetz.eisenstein import cusp_count
@@ -197,11 +199,113 @@ class TestCuspCensus:
             cusp_count_bruteforce(F2, 2)
 
 
-def test_cache_roundtrip(tmp_path, monkeypatch):
+def test_cache_variable_is_ignored(tmp_path, monkeypatch):
+    # No environment state may change a published number: files planted
+    # under BIANCHI_LEFSCHETZ_CACHE are neither read (a class number of 7
+    # for d = -2 would turn the bound at N = 5, k = 0 from 12 into 0) nor
+    # joined by new files.
+    planted = {"classnum_D-8.json": '{"value": "7"}', "sl2_d-2_N3.json": '{"value": "7"}'}
+    for name, text in planted.items():
+        (tmp_path / name).write_text(text)
     monkeypatch.setenv("BIANCHI_LEFSCHETZ_CACHE", str(tmp_path))
-    first = sl2_order(FiniteRing(F2, 3))
-    assert [p.name for p in tmp_path.iterdir()] == ["sl2_d-2_N3.json"]
-    assert sl2_order(FiniteRing(F2, 3)) == first == 576
-    assert make_field(-23).h == 3
-    assert (tmp_path / "classnum_D-23.json").exists()
-    assert make_field(-23).h == 3
+    assert make_field(-2).h == 1
+    assert sl2_order(FiniteRing(make_field(-2), 3)) == 576
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == planted
+
+
+# -- reference copies of the earlier, slower census algorithms ----------------
+
+
+def _projective_line_ref(ring):
+    units = ring.units()
+    reps = set()
+    for x in ring.elements():
+        for y in ring.elements():
+            if ring.is_unimodular(x, y):
+                reps.add(min((*ring.mul(u, x), *ring.mul(u, y)) for u in units))
+    return sorted(((e[0], e[1]), (e[2], e[3])) for e in reps)
+
+
+def _projective_line_zmod_ref(n):
+    units = [u for u in range(n) if gcd(u, n) == 1]
+    return sorted({min(((u * x) % n, (u * y) % n) for u in units)
+                   for x in range(n) for y in range(n) if gcd(gcd(x, y), n) == 1})
+
+
+def _enumerate_sl2_ref(ring):
+    els = ring.elements()
+    return [(a, b, c, d) for a in els for b in els for c in els for d in els
+            if ring.sub(ring.mul(a, d), ring.mul(b, c)) == ring.one]
+
+
+def _fixed_coset_count_ref(ring, involution):
+    count = 0
+    for a in ring.elements():
+        if ring.sigma(a) != a:
+            continue
+        for c in ring.elements():
+            sc = ring.sigma(c)
+            want = sc if involution == "sigma" else ring.neg(sc)
+            if want == c and ring.is_unimodular(a, c):
+                count += 1
+    return count
+
+
+def _kind(f, N):
+    return splitting_type(f, FiniteRing(f, N).primes[0][0])
+
+
+P1_LEVELS = [(F2, 3), (F2, 4), (F2, 5), (F7, 7), (F2, 9), (F7, 9)]
+
+
+class TestAgainstReferences:
+    @pytest.mark.parametrize("f,N", P1_LEVELS)
+    def test_projective_line(self, f, N):
+        assert _projective_line_ref(FiniteRing(f, N)) == projective_line(FiniteRing(f, N))
+
+    def test_levels_cover_every_splitting(self):
+        assert {_kind(f, N) for f, N in P1_LEVELS} == {SPLIT, INERT, RAMIFIED}
+
+    def test_projective_line_zmod(self):
+        for n in range(2, 41):
+            assert projective_line_zmod(n) == _projective_line_zmod_ref(n), n
+
+    @pytest.mark.parametrize("f,N", [(F7, 2), (F2, 3), (F5, 3), (F7, 4)])
+    def test_brute_sl2_filter(self, f, N):
+        # split levels N <= 4 are the only prime powers that take the
+        # brute branch; inert and ramified ones are local rings
+        ring = FiniteRing(f, N)
+        assert _kind(f, N) == SPLIT
+        assert enumerate_sl2(ring) == _enumerate_sl2_ref(ring)
+
+    @pytest.mark.parametrize("f,N", [(F2, 2), (F7, 3), (F5, 2)])
+    def test_local_sl2_is_the_same_set(self, f, N):
+        ring = FiniteRing(f, N)
+        assert sorted(enumerate_sl2(ring)) == _enumerate_sl2_ref(ring)
+
+    @pytest.mark.parametrize("f,N", [(F2, 3), (F2, 5), (F2, 7), (F2, 9), (F7, 3), (F7, 9),
+                                     (F5, 3), (F5, 7), (F2, 11), (F2, 13)])
+    def test_fixed_coset_count(self, f, N):
+        ring = FiniteRing(f, N)
+        for involution in ("sigma", "tau"):
+            assert fixed_coset_count(ring, involution) == \
+                _fixed_coset_count_ref(ring, involution), involution
+
+    def test_projective_line_work_is_linear_in_pairs(self, monkeypatch):
+        # Each unimodular pair is scaled at most once per coordinate.  Taking
+        # the orbit minimum of every pair would cost 2 * |units| products
+        # per pair, N^6 in all.
+        ring = FiniteRing(F2, 11)
+        unimodular = sum(1 for x in ring.elements() for y in ring.elements()
+                         if ring.is_unimodular(x, y))
+        calls = 0
+        real_mul = FiniteRing.mul
+
+        def counting_mul(self, x, y):
+            nonlocal calls
+            calls += 1
+            return real_mul(self, x, y)
+
+        monkeypatch.setattr(FiniteRing, "mul", counting_mul)
+        assert len(projective_line(ring)) == 144
+        assert 0 < calls <= 2 * unimodular
