@@ -227,7 +227,8 @@ def enumerate_sl2(ring: FiniteRing) -> list[Mat]:
     bucket[1 + b*c]; the list is in lexicographic (a, b, c, d) order.
     Local R: every unimodular column (a, c) has a unit coordinate, so each
     is completed to one matrix and the unipotent fiber over it is swept;
-    the work is the size of the output.
+    the work is the size of the output.  The |R|^2 products x*y are made
+    once, and every entry is an object of ring.elements().
     """
     els = ring.elements()
     n4 = len(els) ** 4
@@ -246,8 +247,11 @@ def enumerate_sl2(ring: FiniteRing) -> list[Mat]:
                     out.extend((a, b, c, d)
                                for d in by_product.get(ring.add(one, ring.mul(b, c)), ()))
         return out
+    N = ring.N
+    multiples = {y: [ring.mul(x, y) for x in els] for y in els}
     out = []
     for a in els:
+        xa = multiples[a]
         for c in els:
             if not ring.is_unimodular(a, c):
                 continue
@@ -255,8 +259,10 @@ def enumerate_sl2(ring: FiniteRing) -> list[Mat]:
                 b0, d0 = ring.zero, ring.inverse(a)
             else:
                 b0, d0 = ring.neg(ring.inverse(c)), ring.zero
-            for x in els:
-                out.append((a, ring.add(b0, ring.mul(x, a)), c, ring.add(d0, ring.mul(x, c))))
+            # entries are the shared tuples of els, els[u*N + v] == (u, v)
+            out.extend((a, els[(b0[0] + p) % N * N + (b0[1] + q) % N],
+                        c, els[(d0[0] + r) % N * N + (d0[1] + t) % N])
+                       for (p, q), (r, t) in zip(xa, multiples[c]))
     return out
 
 

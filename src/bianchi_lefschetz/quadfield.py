@@ -43,27 +43,30 @@ def reduced_forms(D: int) -> list[tuple[int, int, int]]:
 
     Reduction means |b| <= a <= c with b >= 0 whenever |b| = a or a = c;
     one form per class, so the length of this list is the class number of
-    the (fundamental) discriminant D < 0.
+    the (fundamental) discriminant D < 0.  Sorted by (a, b).
+
+    Enumerated by b >= 0 first (b = D mod 2, 3 b^2 <= |D|), then by the
+    divisors b <= a <= sqrt(q) of q = (b^2 - D) / 4, with c = q / a; the
+    form (a, -b, c) is reduced too when 0 < b < a < c.  About |D| / 7
+    trial divisions.
     """
     if D >= 0 or D % 4 not in (0, 1):
         raise InputError(f"not a negative quadratic discriminant: {D}")
     from math import gcd, isqrt
 
     forms = []
-    a_max = isqrt(-D // 3)
-    for a in range(1, a_max + 1):
-        for b in range(-a + 1, a + 1):
-            num = b * b - D
-            if num % (4 * a):
+    for b in range(D % 2, isqrt(-D // 3) + 1, 2):
+        q = (b * b - D) // 4
+        for a in range(max(b, 1), isqrt(q) + 1):
+            if q % a:
                 continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if a == c and b < 0:
-                continue
-            if gcd(gcd(a, abs(b)), c) != 1:
+            c = q // a
+            if gcd(gcd(a, b), c) != 1:
                 continue
             forms.append((a, b, c))
+            if 0 < b < a < c:
+                forms.append((a, -b, c))
+    forms.sort()
     return forms
 
 

@@ -173,9 +173,9 @@ def suite_integrality(res: SuiteResult) -> None:
               f"default bracket '{DEFAULT_BRACKET}' passes every even-weight check")
     for line in report.summary_lines():
         res.diag(line)
-    odd = report.records[DEFAULT_BRACKET].parity_failures_odd
+    odd = sorted(report.records[DEFAULT_BRACKET].parity_failures_odd)
     res.diag(f"odd-weight parity under '{DEFAULT_BRACKET}': {len(odd)} failures "
-             f"(first: {odd[0] if odd else None}); open question, reported only")
+             f"at (d, k) {odd}; open question, reported only")
 
     ok = True
     for f in fields:

@@ -220,6 +220,16 @@ class TestVerifyCommand:
                 "on prime powers N in [3,40]") in out
         assert "PASS integrality: principal-level formula == prime-power formula" in out
 
+    def test_norm_search_check_can_fail(self, capsys, monkeypatch):
+        # (9, -9) is in no other symbols check: 9 is not square-free
+        real = verify.hilbert2
+        monkeypatch.setattr(verify, "hilbert2",
+                            lambda a, b: -real(a, b) if (a, b) == (9, -9) else real(a, b))
+        code, out, _ = run_cli(capsys, "verify", "symbols")
+        assert code == 2
+        assert "FAIL symbols: hilbert2 closed formula == mod-2^9 norm search on 448 pairs" in out
+        assert "PASS symbols: hilbert2 symmetry on the square-free grid |a|,|b| <= 50" in out
+
     def test_unknown_suite_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "nope")
         assert code == 1

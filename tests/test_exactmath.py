@@ -1,3 +1,7 @@
+import random
+from itertools import product
+
+import numpy as np
 import pytest
 
 from bianchi_lefschetz.exactmath import (ConformanceError, InputError, as_integer,
@@ -144,6 +148,49 @@ class TestHilbert2:
             for b in (-15, -7, -1, 1, 3, 11):
                 assert hilbert2(a, b) == hilbert2_norm_search(a, b)
                 assert hilbert2(b, a) == hilbert2_norm_search(b, a)
+
+
+def _norm_search_ref(a, b, exp):
+    # the earlier full search over all 2**exp x 2**exp pairs (x, y)
+    mod = 1 << exp
+    x = np.arange(mod, dtype=np.int64)
+    sq = (x * x) % mod
+    odd = (x % 2).astype(bool)
+    squares_all = np.zeros(mod, dtype=bool)
+    squares_all[sq] = True
+    squares_odd = np.zeros(mod, dtype=bool)
+    squares_odd[sq[odd]] = True
+    ax = (a % mod) * sq % mod
+    by = (b % mod) * sq % mod
+    s = (ax[:, None] + by[None, :]) % mod
+    some_unit_xy = odd[:, None] | odd[None, :]
+    solvable = (squares_all[s] & some_unit_xy) | (squares_odd[s] & ~some_unit_xy)
+    return 1 if bool(solvable.any()) else -1
+
+
+ODD_UNITS = [s * u for u in range(1, 16, 2) for s in (1, -1)]
+TWO_ADIC_VALUES = [2**v * u for v in range(9) for u in ODD_UNITS]  # +-2^v u, v <= 8
+
+
+class TestNormSearchAgainstFullGrid:
+    @pytest.mark.parametrize("exp", [5, 7])
+    def test_every_residue_pair(self, exp):
+        # both searches read a and b only mod 2**exp; one value per residue
+        # keeps all 144 x 144 pairs covered (every residue at exp = 5)
+        mod = 1 << exp
+        reps = list({v % mod: v for v in TWO_ADIC_VALUES}.values())
+        for a in reps:
+            for b in reps:
+                assert hilbert2_norm_search(a, b, exp) == _norm_search_ref(a, b, exp), (a, b)
+
+    def test_every_valuation_pair_at_exp_9(self):
+        # the full grid costs about 5 ms a pair, so each pair of valuations
+        # v, w <= 8 is checked with two seeded draws of the odd parts
+        rng = random.Random(9)
+        for v, w in product(range(9), repeat=2):
+            for _ in range(2):
+                a, b = 2**v * rng.choice(ODD_UNITS), 2**w * rng.choice(ODD_UNITS)
+                assert hilbert2_norm_search(a, b) == _norm_search_ref(a, b, 9), (a, b)
 
 
 class TestEulerPhi:

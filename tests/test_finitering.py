@@ -238,6 +238,22 @@ def _enumerate_sl2_ref(ring):
             if ring.sub(ring.mul(a, d), ring.mul(b, c)) == ring.one]
 
 
+def _enumerate_sl2_local_ref(ring):
+    # the earlier local-ring loop: fresh products and tuples for every entry
+    out = []
+    for a in ring.elements():
+        for c in ring.elements():
+            if not ring.is_unimodular(a, c):
+                continue
+            if ring.is_unit(a):
+                b0, d0 = ring.zero, ring.inverse(a)
+            else:
+                b0, d0 = ring.neg(ring.inverse(c)), ring.zero
+            for x in ring.elements():
+                out.append((a, ring.add(b0, ring.mul(x, a)), c, ring.add(d0, ring.mul(x, c))))
+    return out
+
+
 def _fixed_coset_count_ref(ring, involution):
     count = 0
     for a in ring.elements():
@@ -282,6 +298,15 @@ class TestAgainstReferences:
     def test_local_sl2_is_the_same_set(self, f, N):
         ring = FiniteRing(f, N)
         assert sorted(enumerate_sl2(ring)) == _enumerate_sl2_ref(ring)
+
+    @pytest.mark.parametrize("f,N,kind", [(F2, 5, INERT), (F2, 7, INERT), (F7, 7, RAMIFIED)])
+    def test_local_sl2_loop(self, f, N, kind):
+        ring = FiniteRing(f, N)
+        assert _kind(f, N) == kind
+        got = enumerate_sl2(ring)
+        assert got == _enumerate_sl2_local_ref(ring)
+        shared = {id(e) for e in ring.elements()}
+        assert all(id(m[1]) in shared and id(m[3]) in shared for m in got)
 
     @pytest.mark.parametrize("f,N", [(F2, 3), (F2, 5), (F2, 7), (F2, 9), (F7, 3), (F7, 9),
                                      (F5, 3), (F5, 7), (F2, 11), (F2, 13)])

@@ -144,6 +144,14 @@ class TestAdjudication:
         assert (-2, 1) in odd   # the known tension point
         assert report.passing_strict == []
 
+    def test_odd_weight_parity_failures_pinned(self):
+        # A pin on the current output under torsion-char, not a claim about
+        # which side is right: every odd k <= 23 fails for d = -2, -7, -11
+        # and none fails for d = -5.
+        report = adjudicate_brackets(list(GRID), 24)
+        odd = report.records[TORSION_CHAR].parity_failures_odd
+        assert sorted(odd) == [(d, k) for d in (-11, -7, -2) for k in range(1, 24, 2)]
+
 
 class TestClassicalInvariants:
     def test_frozen_values(self):

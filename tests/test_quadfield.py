@@ -1,3 +1,5 @@
+from math import gcd, isqrt
+
 import pytest
 
 from bianchi_lefschetz.exactmath import InputError, is_prime
@@ -63,6 +65,34 @@ class TestClassNumber:
         for d in (-2, -5, -7, -11, -23):
             f = make_field(d)
             assert ideal_class_count(f) == f.h
+
+
+def _reduced_forms_ref(D):
+    # the earlier a-first loop over |b| <= a <= sqrt(|D| / 3)
+    forms = []
+    for a in range(1, isqrt(-D // 3) + 1):
+        for b in range(-a + 1, a + 1):
+            num = b * b - D
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if c < a or (a == c and b < 0) or gcd(gcd(a, abs(b)), c) != 1:
+                continue
+            forms.append((a, b, c))
+    return forms
+
+
+class TestReducedFormsAgainstReference:
+    def test_every_discriminant_down_to_minus_5000(self):
+        for D in range(-3, -5001, -1):
+            if D % 4 in (0, 1):
+                assert reduced_forms(D) == _reduced_forms_ref(D), D
+
+    def test_large_discriminant(self):
+        D = -9999991  # d = D = 1 mod 4, near 10^7 like the largest CLI queries
+        forms = reduced_forms(D)
+        assert forms == _reduced_forms_ref(D)
+        assert len(forms) > 100
 
 
 class TestTwoTorsion:
