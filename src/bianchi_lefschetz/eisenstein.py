@@ -11,8 +11,11 @@ at (row (s,t), column (u,v)) is
 
 so its trace is -(N^2+1) whenever phi vanishes on the diagonal pairing.
 The pairing is bilinear mod N, so the operator is held as its 4 x 4 Gram
-matrix: the trace and the defect of M^2 = I come out in O(N^4), and the
-dense (N^4-1)^2 matrix is built only when it is the output.
+matrix of Python ints: the trace comes out in O(N^3) and the defect of
+M^2 = I in O(N^4) integer steps on the standard library alone, and the
+dense (N^4-1)^2 matrix is built only when it is the output.  That matrix
+is a numpy array and the one thing here that imports numpy; the matrix
+dump is written without it.
 Which character phi and which pairing argument make this well defined is
 not obvious; three readings are registered as CharacterVariant and the
 construction-time periodicity check plus the trace / involution tests
@@ -22,11 +25,13 @@ pick the survivor rather than assuming one.
 from __future__ import annotations
 
 import cmath
+import operator
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
-
-import numpy as np
+from functools import cached_property
+from itertools import compress, product
 
 from .exactmath import ConformanceError, InputError, as_integer, factorize
 from .quadfield import (INERT, RAMIFIED, QuadField, norm_euler_product, splitting_type,
@@ -43,8 +48,9 @@ CHARACTER_VARIANTS = (LITERAL_D, INVERSE_DIFFERENT, SYMPLECTIC_INVDIFF)
 DEFAULT_VARIANT = SYMPLECTIC_INVDIFF
 
 # Bytes the Sczech operator may allocate, checked before allocating.
-# trace() and involution_defect() peak at 104-125 bytes per residue
-# quadruple (measured, N = 7..30); the dense matrix, built only for
+# trace() and involution_defect() peak at 22-47 bytes per residue
+# quadruple (tracemalloc, N = 7..30; the two count lists of N^4 slots
+# dominate), so 160 is an upper bound; the dense matrix, built only for
 # `matrix` and the dump, needs 16 bytes per entry.
 SCZECH_MEMORY_BUDGET = 2**30
 _BYTES_PER_POINT = 160
@@ -218,6 +224,12 @@ def _require_dense(N: int) -> None:
     _require_memory(16 * size * size, f"the dense {size} x {size} matrix")
 
 
+def _roots_of_unity(N: int) -> list[complex]:
+    """exp(2 pi i k / N) for k < N, the angle rounded as 2 pi k * (1/N)."""
+    step = 1.0 / N
+    return [cmath.exp(complex(0.0, 2 * cmath.pi * k * step)) for k in range(N)]
+
+
 @dataclass
 class SczechOperator:
     """Conjugation action on the cocycle span, held as its pairing.
@@ -227,47 +239,69 @@ class SczechOperator:
     u = (a1 + b1 w)/N, v = (a2 + b2 w)/N.  The entry at (x, z) is
     -a - e(x^T A z / N) / N^2 with a = 1/(N^2 (N^2 - 1)) and
     e(t) = exp(2 pi i t), so the 4 x 4 integer Gram matrix A of the pairing
-    fixes the operator.  trace() and involution_defect() are read off A in
-    O(N^4); the dense matrix is built only when asked for.
+    (a tuple of rows of ints; any 4 x 4 integer sequence is accepted) fixes
+    the operator.  trace() and involution_defect() are read off A in O(N^3)
+    and O(N^4) integer steps; the dense matrix is built only when asked
+    for, and it is the one place that needs numpy.
     """
     field: QuadField
     N: int
     variant: str
-    gram: np.ndarray
+    gram: tuple[tuple[int, ...], ...]
 
-    @cached_property
-    def _points(self) -> np.ndarray:
-        """The index set as an (N^4 - 1) x 4 integer array."""
-        return np.indices((self.N,) * 4).reshape(4, -1).T[1:]
+    def __post_init__(self) -> None:
+        self.gram = tuple(tuple(int(a) for a in row) for row in self.gram)
 
     @cached_property
     def indices(self) -> list[tuple[int, int, int, int]]:
-        return [tuple(x) for x in self._points.tolist()]
+        return list(product(range(self.N), repeat=4))[1:]
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """The dense (N^4 - 1) x (N^4 - 1) complex matrix."""
+    def matrix(self):
+        """The dense (N^4 - 1) x (N^4 - 1) complex matrix, as a numpy array.
+
+        numpy is imported only after the size guard has passed.
+        """
         _require_dense(self.N)
+        import numpy as np
+
         size = self.N**4 - 1
-        values = self._entry_values()
+        values = np.array(self._entry_values())
         out = np.empty((size, size), dtype=complex)
-        step = max(1, 2**20 // size)
-        for start, exponents in self._exponent_rows(step):
-            out[start:start + step] = values[exponents]
+        for i, row in enumerate(self._exponent_rows()):
+            out[i] = values[row]
         return out
 
-    def _entry_values(self) -> np.ndarray:
-        """The N values an entry takes, indexed by its pairing exponent."""
-        n2 = self.N**2
-        chi = np.exp(2j * np.pi * np.arange(self.N) / self.N)
-        return -1.0 / (n2 * (n2 - 1)) - chi / n2
+    def _entry_values(self) -> list[complex]:
+        """The N values an entry takes, indexed by its pairing exponent.
 
-    def _exponent_rows(self, step: int):
-        """(first row, pairing exponents x^T A z mod N) for `step` rows x at a time."""
-        x = self._points
-        right = self.gram @ x.T
-        for start in range(0, len(x), step):
-            yield start, x[start:start + step] @ right % self.N
+        Both divisions are multiplications by reciprocals, which fixes the
+        last digit of each value in the dump.
+        """
+        n2 = self.N**2
+        a, r = -1.0 / (n2 * (n2 - 1)), 1.0 / n2
+        return [complex(a - z.real * r, 0.0 - z.imag * r) for z in _roots_of_unity(self.N)]
+
+    def _exponent_rows(self) -> Iterator[list[int]]:
+        """Per row x, the pairing exponents x^T A z mod N over all columns z.
+
+        With w = A z, x^T A z = (x0 w0 + x1 w1) + (x2 w2 + x3 w3); each half
+        is tabulated mod N per pair of row coordinates, so an exponent costs
+        one addition and one lookup.
+        """
+        N, A = self.N, self.gram
+        w = list(zip(*[[sum(A[i][j] * z[j] for j in range(4)) % N for i in range(4)]
+                       for z in self.indices]))               # w[i][column] = (A z)_i
+
+        def half(wa, wb):
+            return [[(p * a + q * b) % N for a, b in zip(wa, wb)]
+                    for p in range(N) for q in range(N)]
+
+        high, low = half(w[0], w[1]), half(w[2], w[3])
+        wrap = list(range(N)) * 2                           # reduces a sum of two residues
+        for x0, x1, x2, x3 in self.indices:
+            sums = map(operator.add, high[x0 * N + x1], low[x2 * N + x3])
+            yield list(map(wrap.__getitem__, sums))
 
     def trace(self) -> complex:
         """Sum of the diagonal, from the counts c_k of q(x) = x^T A x = k mod N:
@@ -275,12 +309,50 @@ class SczechOperator:
             -(N^4 - 1) / (N^2 (N^2 - 1)) - sum_k c_k e(k/N) / N^2,
 
         with the k = 0 part exact, so it is exactly -(N^2 + 1) when q vanishes.
+        q(x) = q(x0, x1, x2, 0) + l x3 + A33 x3^2 with l linear in (x0, x1, x2),
+        so the prefixes (x0, x1, x2) are counted by (q(x0, x1, x2, 0), l) mod N
+        and x3 runs once per class: O(N^3) steps.
         """
-        N, n2, x = self.N, self.N**2, self._points
-        counts = np.bincount((x @ self.gram * x).sum(axis=1) % N, minlength=N)
-        exact = -Fraction(n2 * n2 - 1, n2 * (n2 - 1)) - Fraction(int(counts[0]), n2)
-        roots = np.exp(2j * np.pi * np.arange(1, N) / N)
-        return float(exact) - complex(counts[1:] @ roots) / n2
+        N, n2, A = self.N, self.N**2, self.gram
+        s = [[A[i][j] + A[j][i] for j in range(4)] for i in range(4)]
+        prefixes = Counter(
+            ((A[0][0] * x0 * x0 + A[1][1] * x1 * x1 + A[2][2] * x2 * x2
+              + s[0][1] * x0 * x1 + s[0][2] * x0 * x2 + s[1][2] * x1 * x2) % N,
+             (s[0][3] * x0 + s[1][3] * x1 + s[2][3] * x2) % N)
+            for x0, x1, x2 in product(range(N), repeat=3))
+        counts = [0] * N
+        for (head, slope), n in prefixes.items():
+            for x3 in range(N):
+                counts[(head + slope * x3 + A[3][3] * x3 * x3) % N] += n
+        counts[0] -= 1                                              # x = 0 is no index
+        exact = -Fraction(n2 * n2 - 1, n2 * (n2 - 1)) - Fraction(counts[0], n2)
+        roots = _roots_of_unity(N)
+        return float(exact) - complex(sum(c * z for c, z in zip(counts[1:], roots[1:]))) / n2
+
+    def _codes(self, M) -> Iterator[list[int]]:
+        """The codes of M x mod N over all x = (x0, x1, x2, x3) in lexicographic
+        order, one list of N^2 codes per (x0, x1).
+
+        A vector r mod N is encoded as r0 N^3 + r1 N^2 + r2 N + r3.  With
+        r = M (x0, x1, x2, 0) mod N, the codes over x3 are the sum of a list
+        fixed by (r0, r1) and one fixed by (r2, r3); both are tabulated once,
+        so a code costs one addition.
+        """
+        N = self.N
+        place = (N**3, N**2, N, 1)
+        # cells[k][r][x3] = place[k] * ((r + M[k][3] x3) mod N)
+        cells = [[[(r + M[k][3] * x3) % N * place[k] for x3 in range(N)] for r in range(N)]
+                 for k in range(4)]
+        high = [list(map(operator.add, a, b)) for a in cells[0] for b in cells[1]]
+        low = [list(map(operator.add, a, b)) for a in cells[2] for b in cells[3]]
+        (a0, b0, c0, _), (a1, b1, c1, _), (a2, b2, c2, _), (a3, b3, c3, _) = M
+        for x0, x1 in product(range(N), repeat=2):
+            row: list[int] = []
+            for x2 in range(N):
+                r01 = (a0 * x0 + b0 * x1 + c0 * x2) % N * N + (a1 * x0 + b1 * x1 + c1 * x2) % N
+                r23 = (a2 * x0 + b2 * x1 + c2 * x2) % N * N + (a3 * x0 + b3 * x1 + c3 * x2) % N
+                row += map(operator.add, high[r01], low[r23])
+            yield row
 
     def involution_defect(self) -> float:
         """max |M^2 - I| over all entries, exactly, from the structure of M^2.
@@ -292,20 +364,34 @@ class SczechOperator:
 
         so an entry of M^2 - I depends only on rL = [A^T x = 0], rR = [A z = 0],
         dlt = [-A^T x = A z] and [x = z].  With -A^T x and A z encoded as
-        integers u(x) and v(z), bincounts give how many entries carry each
+        integers u(x) and v(z), their counts give how many entries carry each
         indicator tuple; the maximum runs over the tuples that occur.
         """
-        N, x = self.N, self._points
-        size, n2, n4 = len(x), N**2, N**4
-        place = N ** np.arange(3, -1, -1)
-        u = -(x @ self.gram) % N @ place
-        v = x @ self.gram.T % N @ place
-        cu, cv = np.bincount(u, minlength=n4), np.bincount(v, minlength=n4)
-        u0, v0, matched = int(cu[0]), int(cv[0]), int(cu[1:] @ cv[1:])
+        N, A = self.N, self.gram
+        size, n2, n4 = N**4 - 1, N**2, N**4
+        minus_transpose = [[-A[i][k] for i in range(4)] for k in range(4)]
+        cu, cv = [0] * n4, [0] * n4
+        equal = both_zero = 0                   # x with u(x) = v(x), and with u = v = 0
+        for us, vs in zip(self._codes(minus_transpose), self._codes(A)):
+            for code in us:
+                cu[code] += 1
+            for code in vs:
+                cv[code] += 1
+            same = list(compress(us, map(operator.eq, us, vs)))
+            equal += len(same)
+            both_zero += same.count(0)
+        # x = 0 is no index; it has u = v = 0
+        cu[0] -= 1
+        cv[0] -= 1
+        equal -= 1
+        both_zero -= 1
+        u0, v0 = cu[0], cv[0]
+        matched = sum(map(operator.mul, cu, cv)) - u0 * v0
         # entries per code 4 rL + 2 rR + dlt: over the whole matrix, on its diagonal
         total = {0b000: (size - u0) * (size - v0) - matched, 0b001: matched,
                  0b010: (size - u0) * v0, 0b100: u0 * (size - v0), 0b111: u0 * v0}
-        diagonal = np.bincount(4 * (u == 0) + 2 * (v == 0) + (u == v), minlength=8)
+        diagonal = {0b000: size - u0 - v0 - equal + 2 * both_zero, 0b001: equal - both_zero,
+                    0b010: v0 - both_zero, 0b100: u0 - both_zero, 0b111: both_zero}
 
         a = Fraction(1, n2 * (n2 - 1))
 
@@ -313,18 +399,18 @@ class SczechOperator:
             r_sum, dlt = (code >> 2) + (code >> 1 & 1), code & 1
             return a * a * size + a / n2 * (n4 * r_sum - 2) + dlt - Fraction(1, n4) - eq
 
-        occurring = [entry(c, 1) for c in range(8) if diagonal[c]]
+        occurring = [entry(c, 1) for c, n in diagonal.items() if n]
         occurring += [entry(c, 0) for c, n in total.items() if n > diagonal[c]]
         return float(max(abs(e) for e in occurring))
 
 
-def _pairing_exponents(field: QuadField, N: int, variant: str,
-                       a1, b1, a2, b2) -> np.ndarray:
-    """Exponent table e with character value exp(2 pi i e / N).
+def _pairing(field: QuadField, N: int, variant: str, x, z) -> int:
+    """Exponent e of the entry at row x, column z: its character value is
+    exp(2 pi i e / N).
 
     Write y(w) for the omega-coefficient of w in O, which is the perfect
     residue pairing Tr(w / sqrt(D)).  On integral lifts alpha = N*s,
-    beta = N*t (row) and gamma = N*u, delta = N*v (column):
+    beta = N*t (row x) and gamma = N*u, delta = N*v (column z):
 
       symplectic-invdiff: e = y(alpha*delta - beta*gamma), the
         inverse-different character of the symplectic argument s*v - t*u;
@@ -338,19 +424,15 @@ def _pairing_exponents(field: QuadField, N: int, variant: str,
 
     def y_prod(x1, x2, z1, z2):
         # omega-coefficient of (x1 + x2 w)(z1 + z2 w)
-        return (np.multiply.outer(x1, z2) + np.multiply.outer(x2, z1)
-                + T * np.multiply.outer(x2, z2))
+        return x1 * z2 + x2 * z1 + T * x2 * z2
 
-    if variant == SYMPLECTIC_INVDIFF:
-        d1, d2 = a2, b2          # delta = column v
-        g1, g2 = a1, b1          # gamma = column u
-    elif variant == INVERSE_DIFFERENT:
-        d1, d2 = (a2 + T * b2) % N, (-b2) % N   # conj(delta)
-        g1, g2 = (a1 + T * b1) % N, (-b1) % N   # conj(gamma)
-    else:
+    g1, g2, d1, d2 = z                      # gamma, delta
+    if variant == INVERSE_DIFFERENT:
+        g1, g2, d1, d2 = g1 + T * g2, -g2, d1 + T * d2, -d2
+    elif variant != SYMPLECTIC_INVDIFF:
         raise IllDefinedVariantError(f"variant {variant!r} has no residue pairing")
-    e = y_prod(a1, b1, d1, d2) - y_prod(a2, b2, g1, g2)
-    return np.mod(e, N)
+    a1, b1, a2, b2 = x
+    return (y_prod(a1, b1, d1, d2) - y_prod(a2, b2, g1, g2)) % N
 
 
 def sczech_operator(field: QuadField, N: int, variant: str = DEFAULT_VARIANT) -> SczechOperator:
@@ -365,8 +447,9 @@ def sczech_operator(field: QuadField, N: int, variant: str = DEFAULT_VARIANT) ->
         raise IllDefinedVariantError(
             f"variant {variant!r} is not O-periodic (defect {defect:.3e}); "
             "it does not define an operator on classes of torsion points")
-    # the pairing on the four basis vectors (rows of the identity) is A
-    gram = _pairing_exponents(field, N, variant, *np.eye(4, dtype=np.int64))
+    # the pairing on the four basis vectors is A
+    basis = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    gram = tuple(tuple(_pairing(field, N, variant, x, z) for z in basis) for x in basis)
     return SczechOperator(field=field, N=N, variant=variant, gram=gram)
 
 
@@ -388,11 +471,14 @@ def sczech_trace(field: QuadField, N: int, variant: str = DEFAULT_VARIANT) -> Sc
 def write_matrix_dump(op: SczechOperator, path: str) -> None:
     """Plain-text dump: one 'i j re im' row per entry, row-major, 17 digits.
 
-    An entry takes one of N values, fixed by its pairing exponent, so each
-    value is formatted once and the rows are streamed.
+    An entry takes one of N values, fixed by its pairing exponent, so the
+    string "j re im" of every column j and value is made once, and row i is
+    written as "i " joined with the strings its exponents pick.
     """
     _require_dense(op.N)
-    cells = [f"{z.real:.17g} {z.imag:.17g}\n" for z in op._entry_values()]
+    values = [f"{z.real:.17g} {z.imag:.17g}\n" for z in op._entry_values()]
+    columns = [[f"{j} {v}" for v in values] for j in range(op.N**4 - 1)]
     with open(path, "w") as fh:
-        for i, (row,) in op._exponent_rows(1):
-            fh.write("".join([f"{i} {j} {cells[k]}" for j, k in enumerate(row.tolist())]))
+        for i, row in enumerate(op._exponent_rows()):
+            pre = f"{i} "
+            fh.write(pre + pre.join([col[k] for col, k in zip(columns, row)]))

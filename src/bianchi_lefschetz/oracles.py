@@ -11,8 +11,6 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, isqrt, pi, sqrt
 
-import numpy as np
-
 from .exactmath import InputError
 from .quadfield import QuadField
 
@@ -20,26 +18,24 @@ HILBERT_ORACLE_EXP = 9  # the search runs modulo 2**9, enough to Hensel-lift
 
 
 @lru_cache(maxsize=None)
-def _square_classes(exp: int):
-    """One row per distinct (x^2 mod 2**exp, x mod 2) over all residues x.
-
-    Returns the squares and parities of those rows, and two lookup tables
-    mod 2**exp: all squares, and squares of odd numbers.  The arrays are
-    read-only because they are shared between calls.
+def _square_classes(exp: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...],
+                                        tuple[int, ...]]:
+    """The distinct pairs (x^2 mod 2**exp, x mod 2) over all residues x, and
+    the shifted square masks hit_all[k], hit_odd[k]: bit t is set when
+    (t + k) mod 2**exp is a square, respectively the square of an odd number.
+    Built once per exp.
     """
     mod = 1 << exp
-    x = np.arange(mod, dtype=np.int64)
-    sq = (x * x) % mod
-    odd = (x % 2).astype(bool)
-    squares_all = np.zeros(mod, dtype=bool)
-    squares_all[sq] = True
-    squares_odd = np.zeros(mod, dtype=bool)
-    squares_odd[sq[odd]] = True
-    keys = np.unique(2 * sq + odd)
-    tables = (keys >> 1, (keys & 1).astype(bool), squares_all, squares_odd)
-    for t in tables:
-        t.flags.writeable = False
-    return tables
+    classes = tuple(sorted({(x * x % mod, x % 2) for x in range(mod)}))
+    full = (1 << mod) - 1
+
+    def shifted(mask: int) -> tuple[int, ...]:
+        # bit t of the k-th rotation is bit (t + k) mod 2**exp of mask
+        return tuple((mask >> k | mask << (mod - k)) & full for k in range(mod))
+
+    squares_all = sum(1 << sq for sq in {sq for sq, _ in classes})
+    squares_odd = sum(1 << sq for sq in {sq for sq, odd in classes if odd})
+    return classes, shifted(squares_all), shifted(squares_odd)
 
 
 def hilbert2_norm_search(a: int, b: int, exp: int = HILBERT_ORACLE_EXP) -> int:
@@ -50,22 +46,30 @@ def hilbert2_norm_search(a: int, b: int, exp: int = HILBERT_ORACLE_EXP) -> int:
     in the tests (valuations at most 1).
 
     Whether (x, y) gives a solution depends on x only through
-    (x^2 mod 2**exp, x mod 2), and on y the same way, so the search runs
-    over the distinct values of that pair: 87 of them mod 2**9, so 7 569
-    cells instead of all 512 x 512 = 262 144.  Nothing about square classes
-    is assumed, so the route stays independent of the closed formula.  The
-    residue tables are built once per exp.
+    (x^2 mod 2**exp, x mod 2), and on y the same way: 87 classes each mod
+    2**9.  The values b y^2 of the y-classes are held as one bitmask per
+    parity of y, so an x-class with k = a x^2 is decided by ANDing them
+    with the masks of t for which t + k is a square (of an odd z when x and
+    y are both even).  This is the same exhaustive predicate over the same
+    class pairs; nothing about square classes is assumed, so the route stays
+    independent of the closed formula.
     """
     if a == 0 or b == 0:
         raise InputError("hilbert2_norm_search requires nonzero arguments")
     mod = 1 << exp
-    sq, odd, squares_all, squares_odd = _square_classes(exp)
-    ax = (a % mod) * sq % mod
-    by = (b % mod) * sq % mod
-    s = (ax[:, None] + by[None, :]) % mod
-    some_unit_xy = odd[:, None] | odd[None, :]
-    solvable = (squares_all[s] & some_unit_xy) | (squares_odd[s] & ~some_unit_xy)
-    return 1 if bool(solvable.any()) else -1
+    classes, hit_all, hit_odd = _square_classes(exp)
+    by = [0, 0]                             # bits b y^2 mod 2**exp, for y even and y odd
+    for sq, odd in classes:
+        by[odd] |= 1 << (b * sq % mod)
+    for sq, odd in classes:
+        k = a * sq % mod
+        if odd:
+            found = hit_all[k] & (by[0] | by[1])
+        else:
+            found = hit_all[k] & by[1] or hit_odd[k] & by[0]
+        if found:
+            return 1
+    return -1
 
 
 def sym_power_trace_eigensum(t: int, k: int) -> int:

@@ -1,5 +1,7 @@
 import hashlib
 import tracemalloc
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from bianchi_lefschetz.eisenstein import (CHARACTER_VARIANTS, DEFAULT_VARIANT,
                                           INVERSE_DIFFERENT, LITERAL_D,
                                           IllDefinedVariantError, SczechOperator,
-                                          _pairing_exponents, boundary_dims,
+                                          _pairing, boundary_dims,
                                           cusp_count, eis_dim,
                                           level_one_sigma_traces, sczech_operator,
                                           sczech_trace, trace_sigma_h1_eis,
@@ -20,14 +22,16 @@ from bianchi_lefschetz.quadfield import make_field
 
 F2, F5, F7, F11 = (make_field(d) for d in (-2, -5, -7, -11))
 ADMISSIBLE = (INVERSE_DIFFERENT, DEFAULT_VARIANT)
+DEGENERATE_GRAMS = (np.zeros((4, 4), dtype=np.int64), np.diag([1, 0, 0, 0]),
+                    2 * np.eye(4, dtype=np.int64),
+                    np.array([[0, 1, 0, 0], [3, 0, 0, 2], [0, 0, 0, 0], [1, 2, 0, 1]]))
 
 
 def dense_reference(field, N, variant):
-    """The operator matrix with every exponent taken from the full
-    (N^4 - 1) x (N^4 - 1) table of _pairing_exponents, not from A."""
-    idx = np.array([(x1, y1, x2, y2) for x1 in range(N) for y1 in range(N)
-                    for x2 in range(N) for y2 in range(N)][1:], dtype=np.int64)
-    e = _pairing_exponents(field, N, variant, *idx.T)
+    """The operator matrix with every exponent taken from the pairing of its
+    row and column (_pairing on the two quadruples), not from A."""
+    idx = list(product(range(N), repeat=4))[1:]
+    e = np.array([[_pairing(field, N, variant, x, z) for z in idx] for x in idx])
     chi = np.exp(2j * np.pi * e / N)
     n2 = N * N
     return -1.0 / (n2 * (n2 - 1)) - chi / n2
@@ -207,11 +211,9 @@ class TestSczechOperator:
     def test_matrix_free_matches_dense_for_degenerate_pairings(self):
         # The admissible pairings are perfect, so A x = 0 only at x = 0;
         # these Gram matrices are not, and exercise the other indicator tuples.
-        grams = (np.zeros((4, 4)), np.diag([1, 0, 0, 0]), 2 * np.eye(4),
-                 np.array([[0, 1, 0, 0], [3, 0, 0, 2], [0, 0, 0, 0], [1, 2, 0, 1]]))
         for N in (2, 3, 4):
-            for gram in grams:
-                op = SczechOperator(F2, N, DEFAULT_VARIANT, gram.astype(np.int64))
+            for gram in DEGENERATE_GRAMS:
+                op = SczechOperator(F2, N, DEFAULT_VARIANT, gram)
                 m = op.matrix
                 assert abs(op.trace() - np.trace(m)) < 1e-12
                 defect = np.abs(m @ m - np.eye(len(m))).max()
@@ -232,8 +234,8 @@ class TestSczechOperator:
                 assert got == want
 
     def test_vectorized_matrix_matches_scalar_mirror(self):
-        # scalar re-derivation of every entry, guarding the outer-product
-        # index orientation in the numpy builder
+        # scalar re-derivation of every entry, guarding the row/column
+        # orientation of the Gram matrix and of the exponent tables
         import cmath
 
         for d in (-2, -7):
@@ -271,3 +273,89 @@ class TestSczechOperator:
         assert abs(float(re) + 1 / 3) < 1e-15
         last = lines[-1].split()
         assert (last[0], last[1]) == ("14", "14")
+
+
+# The earlier array routes, kept here as references for the integer routes.
+
+def gram_by_arrays(field, N, variant):
+    """The Gram matrix as outer products of the pairing on the identity's rows."""
+    T = field.omega_trace
+    a1, b1, a2, b2 = np.eye(4, dtype=np.int64)
+
+    def y_prod(x1, x2, z1, z2):
+        return (np.multiply.outer(x1, z2) + np.multiply.outer(x2, z1)
+                + T * np.multiply.outer(x2, z2))
+
+    if variant == DEFAULT_VARIANT:
+        d1, d2, g1, g2 = a2, b2, a1, b1
+    else:
+        d1, d2 = (a2 + T * b2) % N, (-b2) % N
+        g1, g2 = (a1 + T * b1) % N, (-b1) % N
+    return np.mod(y_prod(a1, b1, d1, d2) - y_prod(a2, b2, g1, g2), N)
+
+
+def index_array(N):
+    return np.indices((N,) * 4).reshape(4, -1).T[1:]
+
+
+def trace_by_arrays(gram, N):
+    n2, x = N**2, index_array(N)
+    counts = np.bincount((x @ gram * x).sum(axis=1) % N, minlength=N)
+    exact = -Fraction(n2 * n2 - 1, n2 * (n2 - 1)) - Fraction(int(counts[0]), n2)
+    roots = np.exp(2j * np.pi * np.arange(1, N) / N)
+    return float(exact) - complex(counts[1:] @ roots) / n2
+
+
+def defect_by_arrays(gram, N):
+    x = index_array(N)
+    size, n2, n4 = len(x), N**2, N**4
+    place = N ** np.arange(3, -1, -1)
+    u = -(x @ gram) % N @ place
+    v = x @ gram.T % N @ place
+    cu, cv = np.bincount(u, minlength=n4), np.bincount(v, minlength=n4)
+    u0, v0, matched = int(cu[0]), int(cv[0]), int(cu[1:] @ cv[1:])
+    total = {0b000: (size - u0) * (size - v0) - matched, 0b001: matched,
+             0b010: (size - u0) * v0, 0b100: u0 * (size - v0), 0b111: u0 * v0}
+    diagonal = np.bincount(4 * (u == 0) + 2 * (v == 0) + (u == v), minlength=8)
+    a = Fraction(1, n2 * (n2 - 1))
+
+    def entry(code, eq):
+        r_sum, dlt = (code >> 2) + (code >> 1 & 1), code & 1
+        return a * a * size + a / n2 * (n4 * r_sum - 2) + dlt - Fraction(1, n4) - eq
+
+    occurring = [entry(c, 1) for c in range(8) if diagonal[c]]
+    occurring += [entry(c, 0) for c, n in total.items() if n > diagonal[c]]
+    return float(max(abs(e) for e in occurring))
+
+
+class TestAgainstArrayRoutes:
+    # The float tail of the trace is a sum whose order differs from the array
+    # dot product's; any count that differed would move it by >= 1/N^2.
+    def test_fields(self):
+        for d in (-2, -5, -7, -11, -19, -43):
+            f = make_field(d)
+            for N in range(2, 8):
+                for variant in ADMISSIBLE:
+                    op = sczech_operator(f, N, variant)
+                    gram = gram_by_arrays(f, N, variant)
+                    assert op.gram == tuple(map(tuple, gram.tolist()))
+                    assert all(type(a) is int for row in op.gram for a in row)
+                    assert abs(op.trace() - trace_by_arrays(gram, N)) < 1e-12
+                    assert op.involution_defect() == defect_by_arrays(gram, N)
+
+    def test_degenerate_grams(self):
+        for N in range(2, 8):
+            for gram in DEGENERATE_GRAMS:
+                op = SczechOperator(F2, N, DEFAULT_VARIANT, gram)
+                assert op.gram == tuple(map(tuple, gram.tolist()))
+                assert all(type(a) is int for row in op.gram for a in row)
+                assert abs(op.trace() - trace_by_arrays(gram, N)) < 1e-12
+                assert op.involution_defect() == defect_by_arrays(gram, N)
+
+    def test_entry_values_bit_equal(self):
+        # the dump prints these with 17 digits, so they must agree to the bit
+        for N in range(2, 65):
+            n2 = N * N
+            want = -1.0 / (n2 * (n2 - 1)) - np.exp(2j * np.pi * np.arange(N) / N) / n2
+            got = SczechOperator(F2, N, DEFAULT_VARIANT, np.zeros((4, 4)))._entry_values()
+            assert [repr(z) for z in got] == [repr(z) for z in want.tolist()]

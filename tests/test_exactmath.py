@@ -193,6 +193,69 @@ class TestNormSearchAgainstFullGrid:
                 assert hilbert2_norm_search(a, b) == _norm_search_ref(a, b, 9), (a, b)
 
 
+def _norm_search_by_arrays(a, b, exp):
+    # the earlier array search over the 87 x 87 distinct (x^2, x mod 2) pairs
+    mod = 1 << exp
+    x = np.arange(mod, dtype=np.int64)
+    sq = (x * x) % mod
+    odd = (x % 2).astype(bool)
+    squares_all = np.zeros(mod, dtype=bool)
+    squares_all[sq] = True
+    squares_odd = np.zeros(mod, dtype=bool)
+    squares_odd[sq[odd]] = True
+    keys = np.unique(2 * sq + odd)
+    sq, odd = keys >> 1, (keys & 1).astype(bool)
+    s = ((a % mod) * sq % mod)[:, None] + ((b % mod) * sq % mod)[None, :]
+    s %= mod
+    some_unit_xy = odd[:, None] | odd[None, :]
+    solvable = (squares_all[s] & some_unit_xy) | (squares_odd[s] & ~some_unit_xy)
+    return 1 if bool(solvable.any()) else -1
+
+
+@pytest.mark.parametrize("exp", [5, 7, 9])
+def test_norm_search_matches_array_search(exp):
+    # every pair of +-2^v u (v <= 8, odd u <= 15), one value per residue pair
+    mod = 1 << exp
+    reps = list({v % mod: v for v in TWO_ADIC_VALUES}.values())
+    for a in reps:
+        for b in reps:
+            assert hilbert2_norm_search(a, b, exp) == _norm_search_by_arrays(a, b, exp), (a, b)
+
+
+def _is_prime_by_miller_rabin(n):
+    # the earlier route: trial division by the primes up to 37, then
+    # Miller-Rabin with those primes as witnesses, for every n
+    if n < 2:
+        return False
+    witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for p in witnesses:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in witnesses:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_prime_matches_miller_rabin():
+    # 41^2 = 1681 and 37^2 = 1369 bound the trial-division shortcut
+    assert not is_prime(1681) and not is_prime(1369)
+    assert is_prime(1667) and is_prime(1693)
+    for n in range(-5, 2 * 10**5):
+        assert is_prime(n) == _is_prime_by_miller_rabin(n), n
+
+
 class TestEulerPhi:
     def test_frozen_values(self):
         assert euler_phi(1) == 1
