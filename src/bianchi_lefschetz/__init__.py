@@ -2,23 +2,8 @@
 for Bianchi groups, with exhaustive finite-ring oracles for every closed
 formula."""
 
-from .exactmath import (ConformanceError, InputError, euler_phi, factorize,
-                        hilbert2, is_prime, kronecker, legendre,
-                        sym_power_trace)
-from .quadfield import (QuadField, class_number, make_field, reduced_forms,
-                        splitting_type, two_torsion_count)
-from .finitering import (FiniteRing, cusp_count_bruteforce, fixed_coset_count,
-                         fixed_coset_report, projective_line, sl2_order,
-                         sl2_order_formula)
-from .lefschetz import (BRACKET_VARIANTS, DEFAULT_BRACKET, adjudicate_brackets,
-                        classical_gamma_invariants, lefschetz_level_one,
-                        lefschetz_sigma_prime_power, lefschetz_sigma_principal,
-                        make_level, rohlfs_ab)
-from .eisenstein import (CHARACTER_VARIANTS, DEFAULT_VARIANT, boundary_dims,
-                         cusp_count, eis_dim, level_one_sigma_traces,
-                         sczech_operator, sczech_trace, trace_sigma_h1_eis,
-                         trace_sigma_h2_eis, trace_tau_h2_eis)
-from .bounds import (cusp_lower_bound, gl2_lower_bound, gl2_trace_sigma1,
-                     scan_discriminants, scan_prime_tower, scan_weights)
+from . import bounds, eisenstein, exactmath, finitering, lefschetz, quadfield
+from .exactmath import ConformanceError, InputError
+from .quadfield import make_field
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .eisenstein import cusp_count, trace_sigma_h1_eis, trace_sigma_h2_eis
+from .eisenstein import cusp_count, trace_h2_eis, trace_sigma_h1_eis
 from .exactmath import ConformanceError, InputError, euler_phi
 from .lefschetz import (DEFAULT_BRACKET, lefschetz_level_one, lefschetz_sigma_principal,
                         make_level)
@@ -72,7 +72,7 @@ def cusp_lower_bound(field: QuadField, N: int, k: int,
         warnings.append("composite level: Lefschetz constant outside the validated "
                         "prime-power domain")
 
-    tr2 = trace_sigma_h2_eis(field, N, k)  # raises on ramified levels
+    tr2 = trace_h2_eis(field, N, k, SIGMA)  # raises on ramified levels
     prov["tr2_eis"] = "degree-2 Eisenstein trace (unramified level)"
     tr0 = 1 if k == 0 else 0
     prov["tr0"] = ("trivial action on degree 0 of a connected space" if k == 0

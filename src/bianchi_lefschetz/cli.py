@@ -18,11 +18,11 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from itertools import product
 
 from .bounds import BoundReport, cusp_lower_bound, gl2_trace_sigma1
 from .eisenstein import (CHARACTER_VARIANTS, DEFAULT_VARIANT, sczech_operator,
-                         trace_sigma_h1_eis, trace_sigma_h2_eis,
-                         trace_tau_h2_eis, write_matrix_dump)
+                         trace_h2_eis, trace_sigma_h1_eis, write_matrix_dump)
 from .exactmath import ConformanceError, InputError
 from .lefschetz import (BRACKET_VARIANTS, DEFAULT_BRACKET, lefschetz_level_one,
                         lefschetz_sigma_principal, make_level)
@@ -105,6 +105,19 @@ def emit(records: list[dict], fmt: str, out=None) -> None:
     raise InputError(f"unknown format {fmt!r}")
 
 
+def _query(args: argparse.Namespace) -> dict:
+    """The query echo: the command words, then every option that has a
+    value (given or defaulted) in the parser's order, keyed by its flag
+    name; --format is left out.  argv_of_record is its inverse."""
+    opts = vars(args)
+    query = {"command": " ".join(opts[k] for k in ("command", "subcommand") if k in opts)}
+    for dest, val in opts.items():
+        if val is not None and dest not in ("command", "subcommand", "func", "format"):
+            query[dest.replace("_", "-")] = ([str(x) for x in val] if isinstance(val, list)
+                                             else str(val))
+    return query
+
+
 def argv_of_record(rec: dict) -> list[str]:
     """Reconstruct the command line from a record's query echo."""
     query = rec["query"]
@@ -121,7 +134,7 @@ def argv_of_record(rec: dict) -> list[str]:
     return argv
 
 
-def _bound_record(d: int, N: int, k: int, involution: str, fmt_query: dict) -> dict:
+def _bound_record(d: int, N: int, k: int, involution: str, query: dict) -> dict:
     field = make_field(d)
     rep: BoundReport = cusp_lower_bound(field, N, k, involution)
     result = {
@@ -136,15 +149,14 @@ def _bound_record(d: int, N: int, k: int, involution: str, fmt_query: dict) -> d
         result["tr1_eis"] = _fmt(rep.tr1_eis)
     if rep.tr1_window is not None:
         result["tr1_window"] = _fmt(rep.tr1_window)
-    return _record(fmt_query, result, field, rep.warnings, rep.provenance)
+    return _record(query, result, field, rep.warnings, rep.provenance)
 
 
 def _cmd_field(args) -> list[dict]:
     field = make_field(args.d)
-    query = {"command": "field", "d": str(args.d)}
     omega = ("omega^2 = omega + (d-1)/4" if field.d % 4 == 1 else "omega^2 = d")
     result = {"kind": "field-invariants", "omega_rule": omega}
-    return [_record(query, result, field,
+    return [_record(_query(args), result, field,
                     provenance={"h": "reduced binary quadratic form enumeration",
                                 "D": "standard discriminant of a quadratic field"})]
 
@@ -153,8 +165,6 @@ def _cmd_lefschetz_principal(args) -> list[dict]:
     field = make_field(args.d)
     level = make_level(field, args.N)
     L = lefschetz_sigma_principal(field, level, args.k)
-    query = {"command": "lefschetz principal", "d": str(args.d), "N": str(args.N),
-             "k": str(args.k), "involution": args.involution}
     warnings = []
     if level.ab_warning:
         warnings.append("A or B alone is fractional; only A+2B enters the formula")
@@ -163,15 +173,13 @@ def _cmd_lefschetz_principal(args) -> list[dict]:
     result = {"kind": "lefschetz_principal", "L": _fmt(L),
               "A": _fmt(level.A), "B": _fmt(level.B),
               "A_plus_2B": _fmt(level.a_plus_2b)}
-    return [_record(query, result, field, warnings,
+    return [_record(_query(args), result, field, warnings,
                     {"L": "principal-level Lefschetz number (surface-count table)"})]
 
 
 def _cmd_lefschetz_level_one(args) -> list[dict]:
     field = make_field(args.d)
     res = lefschetz_level_one(field, args.involution, args.k, args.bracket)
-    query = {"command": "lefschetz level-one", "d": str(args.d), "k": str(args.k),
-             "involution": args.involution, "bracket": args.bracket}
     warnings = []
     if not res.integral:
         warnings.append("non-integral Lefschetz number: bracket reading fails here")
@@ -179,32 +187,27 @@ def _cmd_lefschetz_level_one(args) -> list[dict]:
         warnings.append("odd weight: bracket reading unadjudicated")
     result = {"kind": "lefschetz_level_one", "L": _fmt(res.value),
               "integral": _fmt(res.integral)}
-    return [_record(query, result, field, warnings,
+    return [_record(_query(args), result, field, warnings,
                     {"L": "level-one four-term Lefschetz formula"})]
 
 
 def _cmd_eisenstein_h2(args) -> list[dict]:
     field = make_field(args.d)
-    fn = trace_sigma_h2_eis if args.involution == "sigma" else trace_tau_h2_eis
-    val = fn(field, args.N, args.k)
-    query = {"command": "eisenstein h2", "d": str(args.d), "N": str(args.N),
-             "k": str(args.k), "involution": args.involution}
+    val = trace_h2_eis(field, args.N, args.k, args.involution)
     warnings = []
     if args.involution == "tau":
         warnings.append("closed formula; the exhaustive coset census can disagree "
                         "(see verify fixedpoints)")
     result = {"kind": "eisenstein_h2_trace", "trace": _fmt(val)}
-    return [_record(query, result, field, warnings,
+    return [_record(_query(args), result, field, warnings,
                     {"trace": "degree-2 Eisenstein trace (unramified level)"})]
 
 
 def _cmd_eisenstein_h1(args) -> list[dict]:
     field = make_field(args.d)
     val = trace_sigma_h1_eis(field, args.p, args.n)
-    query = {"command": "eisenstein h1", "d": str(args.d), "p": str(args.p),
-             "n": str(args.n)}
     result = {"kind": "eisenstein_h1_trace", "trace": _fmt(val)}
-    return [_record(query, result, field, provenance={
+    return [_record(_query(args), result, field, provenance={
         "trace": "degree-1 Eisenstein trace via the cocycle span "
                  "(inert prime power, class number one)"})]
 
@@ -213,11 +216,8 @@ def _cmd_sczech(args) -> list[dict]:
     field = make_field(args.d)
     op = sczech_operator(field, args.N, args.variant)
     tr = op.trace()
-    query = {"command": "sczech", "d": str(args.d), "N": str(args.N),
-             "variant": args.variant}
     if args.emit_matrix:
         write_matrix_dump(op, args.emit_matrix)
-        query["emit-matrix"] = args.emit_matrix
     result = {
         "kind": "sczech_trace",
         "trace_re": _fmt(tr.real),
@@ -226,21 +226,17 @@ def _cmd_sczech(args) -> list[dict]:
         "involution_defect": _fmt(op.involution_defect()),
         "size": _fmt(args.N**4 - 1),
     }
-    return [_record(query, result, field, provenance={
+    return [_record(_query(args), result, field, provenance={
         "trace_re": "conjugation operator on the span of Sczech cocycles"})]
 
 
 def _cmd_bound(args) -> list[dict]:
-    query = {"command": "bound", "d": str(args.d), "N": str(args.N),
-             "k": str(args.k), "involution": args.involution}
-    return [_bound_record(args.d, args.N, args.k, args.involution, query)]
+    return [_bound_record(args.d, args.N, args.k, args.involution, _query(args))]
 
 
 def _cmd_gl2(args) -> list[dict]:
     field = make_field(args.d)
     tr = gl2_trace_sigma1(field, args.k, args.bracket)
-    query = {"command": "gl2", "d": str(args.d), "k": str(args.k),
-             "bracket": args.bracket}
     warnings = []
     result = {"kind": "gl2_trace", "trace": _fmt(tr.value),
               "integral": _fmt(tr.integral)}
@@ -250,32 +246,23 @@ def _cmd_gl2(args) -> list[dict]:
         warnings.append("non-integral GL2 trace: bracket adjudication failure")
     if tr.unadjudicated:
         warnings.append("odd weight: bracket reading unadjudicated")
-    return [_record(query, result, field, warnings,
+    return [_record(_query(args), result, field, warnings,
                     {"trace": "GL2 degree-1 trace from the two level-one "
                               "Lefschetz numbers"})]
 
 
 def _cmd_table(args) -> list[dict]:
     records = []
-    for d in args.d_list:
-        for N in args.N_list:
-            for k in args.k_list:
-                query = {"command": "table",
-                         "d-list": [str(x) for x in args.d_list],
-                         "N-list": [str(x) for x in args.N_list],
-                         "k-list": [str(x) for x in args.k_list],
-                         "format": args.format}
-                try:
-                    rec = _bound_record(d, N, k, "sigma", query)
-                except (InputError, ConformanceError) as exc:
-                    rec = _record(query,
-                                  {"kind": "error", "d": str(d), "N": str(N),
-                                   "k": str(k), "message": str(exc)})
-                else:
-                    rec["result"]["d"] = str(d)
-                    rec["result"]["N"] = str(N)
-                    rec["result"]["k"] = str(k)
-                records.append(rec)
+    query = {**_query(args), "format": args.format}
+    for d, N, k in product(args.d_list, args.N_list, args.k_list):
+        try:
+            rec = _bound_record(d, N, k, "sigma", query)
+        except (InputError, ConformanceError) as exc:
+            rec = _record(query, {"kind": "error", "d": str(d), "N": str(N),
+                                  "k": str(k), "message": str(exc)})
+        else:
+            rec["result"].update(d=str(d), N=str(N), k=str(k))
+        records.append(rec)
     return records
 
 
@@ -368,7 +355,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run oracle verification suites")
     p.add_argument("suite", nargs="?", default="all")
-    p.set_defaults(func=_cmd_verify)
 
     return parser
 

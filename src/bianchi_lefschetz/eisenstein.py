@@ -12,10 +12,8 @@ at (row (s,t), column (u,v)) is
 so its trace is -(N^2+1) whenever phi vanishes on the diagonal pairing.
 The pairing is bilinear mod N, so the operator is held as its 4 x 4 Gram
 matrix of Python ints: the trace comes out in O(N^3) and the defect of
-M^2 = I in O(N^4) integer steps on the standard library alone, and the
-dense (N^4-1)^2 matrix is built only when it is the output.  That matrix
-is a numpy array and the one thing here that imports numpy; the matrix
-dump is written without it.
+M^2 = I in O(N^4) integer steps, and the dense (N^4-1)^2 matrix is only
+ever written out, row by row, as the matrix dump.
 Which character phi and which pairing argument make this well defined is
 not obvious; three readings are registered as CharacterVariant and the
 construction-time periodicity check plus the trace / involution tests
@@ -34,8 +32,8 @@ from functools import cached_property
 from itertools import compress, product
 
 from .exactmath import ConformanceError, InputError, as_integer, factorize
-from .quadfield import (INERT, RAMIFIED, QuadField, norm_euler_product, splitting_type,
-                        two_torsion_count)
+from .quadfield import (INERT, RAMIFIED, SIGMA, TAU, QuadField, norm_euler_product,
+                        splitting_type, two_torsion_count)
 
 LITERAL_D = "literal-d"
 INVERSE_DIFFERENT = "inverse-different"
@@ -48,12 +46,12 @@ CHARACTER_VARIANTS = (LITERAL_D, INVERSE_DIFFERENT, SYMPLECTIC_INVDIFF)
 DEFAULT_VARIANT = SYMPLECTIC_INVDIFF
 
 # Bytes the Sczech operator may allocate, checked before allocating.
-# trace() and involution_defect() peak at 22-47 bytes per residue
-# quadruple (tracemalloc, N = 7..30; the two count lists of N^4 slots
-# dominate), so 160 is an upper bound; the dense matrix, built only for
-# `matrix` and the dump, needs 16 bytes per entry.
+# trace() and involution_defect() peak at 20-45 bytes per residue
+# quadruple (tracemalloc, d = -2 and -7, N = 7..40, falling as N grows;
+# the two count lists of N^4 slots dominate), so 48 is an upper bound;
+# the dump is budgeted at 16 bytes per dense entry.
 SCZECH_MEMORY_BUDGET = 2**30
-_BYTES_PER_POINT = 160
+_BYTES_PER_POINT = 48
 
 
 class IllDefinedVariantError(ConformanceError):
@@ -62,37 +60,28 @@ class IllDefinedVariantError(ConformanceError):
 
 
 # ---------------------------------------------------------------------------
-# Cusp counts and boundary dimensions
+# Cusp counts and the closed trace formulas
 # ---------------------------------------------------------------------------
 
 
 def cusp_count(field: QuadField, N: int) -> int:
-    """c(Gamma(N)) = h * N^4 * prod over primes P of (N) of (1 - Norm(P)^-2)."""
+    """c(Gamma(N)) = h * N^4 * prod over primes P of (N) of (1 - Norm(P)^-2).
+
+    c is the dimension of the boundary cohomology in degrees 0 and 2 (2c in
+    degree 1) and of the Eisenstein part in each degree for k > 0, so it is
+    also the worst-case window for unknown Eisenstein traces.
+    """
     if N < 3:
         raise InputError(f"cusp_count requires N >= 3, got {N}")
     return as_integer(field.h * N**4 * norm_euler_product(field, N), "cusp count")
 
 
-def boundary_dims(field: QuadField, N: int, k: int) -> tuple[int, int, int]:
-    """Dimensions of the boundary cohomology in degrees 0, 1, 2: (c, 2c, c)."""
-    c = cusp_count(field, N)
-    return c, 2 * c, c
-
-
-def eis_dim(field: QuadField, N: int, k: int) -> int:
-    """dim of the Eisenstein part in each degree for k > 0; equals c(Gamma(N)).
-
-    Doubles as the worst-case window for unknown Eisenstein traces.
-    """
-    if k <= 0:
-        raise InputError("eis_dim is defined for k > 0; weight zero goes through "
-                         "the degree-split level-one routes")
-    return cusp_count(field, N)
-
-
-# ---------------------------------------------------------------------------
-# Degree-2 and degree-0 traces
-# ---------------------------------------------------------------------------
+def fixed_coset_formula(p: int, n: int, involution: str) -> int:
+    """Unipotent cosets at level p^n fixed by the involution, in closed form:
+    p^{2n} - p^{2n-2} for sigma and p^{2n-1} - p^{2n-2} for tau."""
+    if involution not in (SIGMA, TAU):
+        raise InputError(f"unknown involution {involution!r}")
+    return p ** (2 * n if involution == SIGMA else 2 * n - 1) - p ** (2 * n - 2)
 
 
 def _check_unramified_level(field: QuadField, N: int, what: str) -> list[tuple[int, int]]:
@@ -109,30 +98,22 @@ def _check_unramified_level(field: QuadField, N: int, what: str) -> list[tuple[i
     return factors
 
 
-def trace_sigma_h2_eis(field: QuadField, N: int, k: int) -> int:
-    """Trace of sigma on degree-2 Eisenstein cohomology at unramified level N.
+def trace_h2_eis(field: QuadField, N: int, k: int, involution: str) -> int:
+    """Trace of the involution on degree-2 Eisenstein cohomology at
+    unramified level N.
 
-    -2^(t-1) * prod (p^{2n} - p^{2n-2}) plus 1 at weight zero (the
-    compactly-supported correction); level one is the empty product.
+    -2^(t-1) * prod over p^n || N of fixed_coset_formula(p, n), plus 1 at
+    weight zero (the compactly-supported correction); level one is the
+    empty product.  For tau the closed formula is kept authoritative; the
+    exhaustive coset census in finitering reports its own count next to
+    it, and the two are allowed to disagree (see fixed_coset_report).
     """
-    factors = _check_unramified_level(field, N, "trace_sigma_h2_eis")
+    if involution not in (SIGMA, TAU):
+        raise InputError(f"unknown involution {involution!r}")
+    factors = _check_unramified_level(field, N, f"trace_{involution}_h2_eis")
     val = -two_torsion_count(field)
     for p, n in factors:
-        val *= p ** (2 * n) - p ** (2 * n - 2)
-    return val + (1 if k == 0 else 0)
-
-
-def trace_tau_h2_eis(field: QuadField, N: int, k: int) -> int:
-    """Same shape for tau, with per-prime factor p^{2n-1} - p^{2n-2}.
-
-    The closed formula is kept authoritative here; the exhaustive coset
-    census in finitering reports its own count next to this one, and the
-    two are allowed to disagree (see fixed_coset_report).
-    """
-    factors = _check_unramified_level(field, N, "trace_tau_h2_eis")
-    val = -two_torsion_count(field)
-    for p, n in factors:
-        val *= p ** (2 * n - 1) - p ** (2 * n - 2)
+        val *= fixed_coset_formula(p, n, involution)
     return val + (1 if k == 0 else 0)
 
 
@@ -184,7 +165,7 @@ def trace_sigma_h1_eis(field: QuadField, p: int, n: int) -> int:
         raise InputError(f"degree-1 trace formula requires an inert prime; {p} is {spl}")
     if n == 1:
         return -(p * p + 1)
-    return -(p ** (2 * n) - p ** (2 * n - 2))
+    return -fixed_coset_formula(p, n, SIGMA)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +222,7 @@ class SczechOperator:
     e(t) = exp(2 pi i t), so the 4 x 4 integer Gram matrix A of the pairing
     (a tuple of rows of ints; any 4 x 4 integer sequence is accepted) fixes
     the operator.  trace() and involution_defect() are read off A in O(N^3)
-    and O(N^4) integer steps; the dense matrix is built only when asked
-    for, and it is the one place that needs numpy.
+    and O(N^4) integer steps; the dense matrix exists only as the dump.
     """
     field: QuadField
     N: int
@@ -255,22 +235,6 @@ class SczechOperator:
     @cached_property
     def indices(self) -> list[tuple[int, int, int, int]]:
         return list(product(range(self.N), repeat=4))[1:]
-
-    @cached_property
-    def matrix(self):
-        """The dense (N^4 - 1) x (N^4 - 1) complex matrix, as a numpy array.
-
-        numpy is imported only after the size guard has passed.
-        """
-        _require_dense(self.N)
-        import numpy as np
-
-        size = self.N**4 - 1
-        values = np.array(self._entry_values())
-        out = np.empty((size, size), dtype=complex)
-        for i, row in enumerate(self._exponent_rows()):
-            out[i] = values[row]
-        return out
 
     def _entry_values(self) -> list[complex]:
         """The N values an entry takes, indexed by its pairing exponent.

@@ -89,10 +89,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def prime_divisors(n: int) -> list[int]:
-    return [p for p, _ in factorize(abs(n))]
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p, in {-1, 0, 1}."""
     if p == 2 or not is_prime(p):

@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from .eisenstein import fixed_coset_formula
 from .exactmath import ConformanceError, InputError, as_integer, factorize
 from .quadfield import (INERT, RAMIFIED, SIGMA, SPLIT, TAU, QuadField,
                         norm_euler_product, splitting_type)
@@ -358,10 +359,7 @@ class CensusReport:
 def fixed_coset_report(ring: FiniteRing, involution: str) -> CensusReport:
     census = fixed_coset_count(ring, involution)
     p, n = ring.primes[0][0], ring.primes[0][1]
-    if involution == SIGMA:
-        formula = p ** (2 * n) - p ** (2 * n - 2)
-    else:
-        formula = p ** (2 * n - 1) - p ** (2 * n - 2)
+    formula = fixed_coset_formula(p, n, involution)
     return CensusReport(d=ring.field.d, p=p, n=n, involution=involution,
                         census=census, closed_formula=formula,
                         matches=census == formula)

@@ -126,17 +126,6 @@ def make_level(field: QuadField, N: int, s_mode: str = S_ODD_PRIMES) -> Level:
                  A=A, B=B, ab_warning=warning)
 
 
-def rohlfs_ab(field: QuadField, level: Level | int) -> tuple[Fraction, Fraction]:
-    """The translate counts (A, B) of the two fixed-surface families.
-
-    Only A + 2B feeds the Lefschetz formula; A or B alone can be a half
-    power of 2 (the level carries a warning flag when that happens).
-    """
-    if isinstance(level, int):
-        level = make_level(field, level)
-    return level.A, level.B
-
-
 def lefschetz_sigma_principal(field: QuadField, level: Level | int, k: int) -> int:
     """L(sigma, Gamma(N), E_{k,k}) for N > 2, as an exact integer."""
     if isinstance(level, int):

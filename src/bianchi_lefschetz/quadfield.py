@@ -147,11 +147,6 @@ def norm_euler_product(field: QuadField, N: int) -> Fraction:
     return total
 
 
-def class_number(field: QuadField) -> int:
-    """Class number of K, from the reduced-form enumeration."""
-    return field.h
-
-
 def two_torsion_count(field: QuadField) -> int:
     """Number of ideal classes of order at most 2, i.e. 2^(t-1)."""
     return 2 ** (field.t - 1)

@@ -18,15 +18,14 @@ from .bounds import cusp_lower_bound, gl2_trace_sigma1
 from .eisenstein import (CHARACTER_VARIANTS, DEFAULT_VARIANT,
                          IllDefinedVariantError, cusp_count,
                          level_one_sigma_traces, sczech_operator,
-                         trace_sigma_h1_eis, trace_sigma_h2_eis, sczech_trace)
+                         trace_h2_eis, trace_sigma_h1_eis, sczech_trace)
 from .exactmath import (ConformanceError, InputError, hilbert2, is_prime, kronecker,
                         legendre, sym_power_trace)
-from .finitering import (FiniteRing, cusp_count_bruteforce, fixed_coset_count,
-                         fixed_coset_report, sl2_order)
+from .finitering import FiniteRing, cusp_count_bruteforce, fixed_coset_report, sl2_order
 from .lefschetz import (BRACKET_VARIANTS, DEFAULT_BRACKET, adjudicate_brackets,
                         lefschetz_level_one, lefschetz_sigma_prime_power,
                         lefschetz_sigma_principal)
-from .quadfield import (INERT, SPLIT, ambiguous_form_count, is_square_free,
+from .quadfield import (INERT, SIGMA, SPLIT, ambiguous_form_count, is_square_free,
                         make_field, splitting_type, two_torsion_count)
 
 SUITES = ("symbols", "classgroup", "cusps", "fixedpoints", "sczech",
@@ -117,11 +116,9 @@ def suite_cusps(res: SuiteResult) -> None:
 
 def suite_fixedpoints(res: SuiteResult) -> None:
     for d, p, n in ((-7, 3, 1), (-7, 3, 2), (-2, 3, 1), (-2, 5, 1)):
-        f = make_field(d)
-        census = fixed_coset_count(FiniteRing(f, p**n), "sigma")
-        want = p ** (2 * n) - p ** (2 * n - 2)
-        res.check(census == want,
-                  f"sigma coset census (d={d}, p={p}, n={n}): {census} == {want}")
+        rep = fixed_coset_report(FiniteRing(make_field(d), p**n), SIGMA)
+        res.check(rep.matches, f"sigma coset census (d={d}, p={p}, n={n}): "
+                               f"{rep.census} == {rep.closed_formula}")
     for d, p, n in ((-2, 5, 1), (-7, 3, 1)):
         f = make_field(d)
         rep = fixed_coset_report(FiniteRing(f, p**n), "tau")
@@ -222,7 +219,7 @@ def suite_anchors(res: SuiteResult) -> None:
     tr = level_one_sigma_traces(f5, 0)
     res.check((tr.tr0, tr.tr1, tr.tr2) == (1, -2, -1),
               "level-one sigma traces at (d=-5, k=0) == (1, -2, -1)")
-    res.check(trace_sigma_h2_eis(make_field(-2), 1, 0) ==
+    res.check(trace_h2_eis(make_field(-2), 1, 0, SIGMA) ==
               level_one_sigma_traces(make_field(-2), 0).tr2,
               "level-one degree-2 trace consistent between the two routes")
 

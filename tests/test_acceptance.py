@@ -9,8 +9,7 @@ from bianchi_lefschetz.eisenstein import (CHARACTER_VARIANTS, DEFAULT_VARIANT,
                                           IllDefinedVariantError,
                                           cusp_count, level_one_sigma_traces,
                                           sczech_operator, sczech_trace,
-                                          trace_sigma_h1_eis, trace_sigma_h2_eis,
-                                          trace_tau_h2_eis)
+                                          trace_h2_eis, trace_sigma_h1_eis)
 from bianchi_lefschetz.exactmath import hilbert2
 from bianchi_lefschetz.finitering import (FiniteRing, cusp_count_bruteforce,
                                           fixed_coset_count, fixed_coset_report)
@@ -157,8 +156,8 @@ def test_criterion_10_asymptotic_floors():
 
 def test_criterion_11_eisenstein_trace_values():
     with criterion(11, "Eisenstein trace formulas hit their exact values"):
-        assert trace_sigma_h2_eis(make_field(-7), 9, 1) == -72
-        assert trace_tau_h2_eis(make_field(-7), 9, 1) == -18
+        assert trace_h2_eis(make_field(-7), 9, 1, "sigma") == -72
+        assert trace_h2_eis(make_field(-7), 9, 1, "tau") == -18
         assert trace_sigma_h1_eis(make_field(-2), 5, 2) == -600
         tr = level_one_sigma_traces(make_field(-5), 0)
         assert (tr.tr0, tr.tr1, tr.tr2) == (1, -2, -1)

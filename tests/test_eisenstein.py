@@ -6,14 +6,13 @@ from itertools import product
 import numpy as np
 import pytest
 
+from bianchi_lefschetz.bounds import cusp_lower_bound
 from bianchi_lefschetz.eisenstein import (CHARACTER_VARIANTS, DEFAULT_VARIANT,
                                           INVERSE_DIFFERENT, LITERAL_D,
                                           IllDefinedVariantError, SczechOperator,
-                                          _pairing, boundary_dims,
-                                          cusp_count, eis_dim,
+                                          _pairing, cusp_count, fixed_coset_formula,
                                           level_one_sigma_traces, sczech_operator,
-                                          sczech_trace, trace_sigma_h1_eis,
-                                          trace_sigma_h2_eis, trace_tau_h2_eis,
+                                          sczech_trace, trace_h2_eis, trace_sigma_h1_eis,
                                           variant_periodicity_defect,
                                           write_matrix_dump)
 from bianchi_lefschetz.exactmath import InputError
@@ -35,6 +34,17 @@ def dense_reference(field, N, variant):
     chi = np.exp(2j * np.pi * e / N)
     n2 = N * N
     return -1.0 / (n2 * (n2 - 1)) - chi / n2
+
+
+def dense_from_dump(op, path):
+    """The dense matrix parsed back from the matrix dump, which prints 17
+    significant digits: enough to round-trip a double, so bit for bit."""
+    write_matrix_dump(op, str(path))
+    size = op.N**4 - 1
+    cells = np.array(list(map(float, path.read_text().split()))).reshape(-1, 4)
+    rows, cols = np.divmod(np.arange(size * size), size)
+    assert np.array_equal(cells[:, 0], rows) and np.array_equal(cells[:, 1], cols)
+    return (cells[:, 2] + 1j * cells[:, 3]).reshape(size, size)
 
 
 def dump_sha256(matrix, path):
@@ -64,49 +74,57 @@ class TestCuspCount:
 
 
 class TestBoundaryDims:
+    # The boundary cohomology has dimensions (c, 2c, c) and, for k > 0, the
+    # Eisenstein part has dimension c in each degree, c = cusp_count.
     def test_triples(self):
-        assert boundary_dims(F2, 3, 1) == (64, 128, 64)
-        assert boundary_dims(F7, 3, 5) == (80, 160, 80)
-
-    def test_torus_euler_characteristic_zero(self):
-        for f, N in ((F2, 3), (F7, 3), (F2, 5)):
-            h0, h1, h2 = boundary_dims(f, N, 1)
-            assert h1 == h0 + h2
+        assert cusp_count(F5, 3) == 128    # h = 2, 3 splits: 2 * 3^4 (1 - 3^-2)^2
+        assert cusp_count(F7, 9) == 6480   # 3 inert: 9^4 (1 - 3^-4)
 
     def test_eis_dim(self):
-        assert eis_dim(F2, 3, 1) == 64
-        assert eis_dim(F7, 3, 2) == 80
-        assert eis_dim(F2, 5, 1) == 624
-        with pytest.raises(InputError):
-            eis_dim(F2, 3, 0)
+        # the worst-case window of the degree-1 Eisenstein trace is c
+        for f, N, k in ((F2, 3, 1), (F7, 3, 2), (F2, 5, 1)):
+            rep = cusp_lower_bound(f, N, k)
+            assert rep.mode == "worst_case"
+            assert rep.tr1_window == cusp_count(f, N)
 
 
 class TestDegreeTwoTraces:
     def test_sigma_frozen(self):
-        assert trace_sigma_h2_eis(F7, 9, 1) == -72
-        assert trace_sigma_h2_eis(F7, 3, 0) == -7    # -8 plus the weight-zero 1
-        assert trace_sigma_h2_eis(F5, 3, 1) == -16   # t = 2
+        assert trace_h2_eis(F7, 9, 1, "sigma") == -72
+        assert trace_h2_eis(F7, 3, 0, "sigma") == -7    # -8 plus the weight-zero 1
+        assert trace_h2_eis(F5, 3, 1, "sigma") == -16   # t = 2
 
     def test_tau_frozen(self):
-        assert trace_tau_h2_eis(F7, 3, 1) == -2
-        assert trace_tau_h2_eis(F7, 9, 1) == -18
-        assert trace_tau_h2_eis(F2, 1, 1) == -1      # level one
+        assert trace_h2_eis(F7, 3, 1, "tau") == -2
+        assert trace_h2_eis(F7, 9, 1, "tau") == -18
+        assert trace_h2_eis(F2, 1, 1, "tau") == -1      # level one
 
     def test_level_one_consistency(self):
         for f in (F2, F5, F7, F11):
-            assert trace_sigma_h2_eis(f, 1, 0) == level_one_sigma_traces(f, 0).tr2
+            assert trace_h2_eis(f, 1, 0, "sigma") == level_one_sigma_traces(f, 0).tr2
 
     def test_rejects_ramified_levels(self):
-        with pytest.raises(InputError):
-            trace_sigma_h2_eis(F5, 5, 1)
-        with pytest.raises(InputError):
-            trace_tau_h2_eis(F2, 2, 1)
+        # `table` records carry these messages, so their wording is pinned
+        with pytest.raises(InputError, match="^trace_sigma_h2_eis requires unramified level; "
+                                             "5 ramifies in "):
+            trace_h2_eis(F5, 5, 1, "sigma")
+        with pytest.raises(InputError, match=r"^trace_tau_h2_eis requires N >= 3 \(or N = 1\), "
+                                             "got 2$"):
+            trace_h2_eis(F2, 2, 1, "tau")
+        with pytest.raises(InputError, match="unknown involution"):
+            trace_h2_eis(F2, 1, 1, "rho")
 
     def test_magnitude_within_eisenstein_dimension(self):
         for f, N in ((F2, 3), (F7, 3), (F5, 3), (F7, 9), (F2, 5)):
-            dim = eis_dim(f, N, 1)
-            assert abs(trace_sigma_h2_eis(f, N, 1)) <= dim
-            assert abs(trace_tau_h2_eis(f, N, 1)) <= dim
+            dim = cusp_count(f, N)
+            assert abs(trace_h2_eis(f, N, 1, "sigma")) <= dim
+            assert abs(trace_h2_eis(f, N, 1, "tau")) <= dim
+
+    def test_fixed_coset_formula(self):
+        assert [fixed_coset_formula(3, n, "sigma") for n in (1, 2)] == [8, 72]
+        assert [fixed_coset_formula(3, n, "tau") for n in (1, 2)] == [2, 18]
+        with pytest.raises(InputError):
+            fixed_coset_formula(3, 1, "rho")
 
 
 class TestLevelOneTraces:
@@ -152,9 +170,9 @@ class TestSczechOperator:
                 pass
         assert built >= 1
 
-    def test_diagonal_at_n2(self):
-        op = sczech_operator(F2, 2)
-        assert np.allclose(np.diag(op.matrix), -1 / 3)
+    def test_diagonal_at_n2(self, tmp_path):
+        m = dense_from_dump(sczech_operator(F2, 2), tmp_path / "dump.txt")
+        assert np.allclose(np.diag(m), -1 / 3)
 
     def test_trace_and_involution_default_variant(self):
         for d, N in ((-2, 2), (-2, 3), (-2, 4), (-2, 5), (-7, 2), (-7, 3)):
@@ -164,9 +182,9 @@ class TestSczechOperator:
             assert abs(tr.imag) < 1e-9
             assert op.involution_defect() < 1e-9
 
-    def test_operator_is_hermitian_under_default_variant(self):
-        op = sczech_operator(F7, 3)
-        assert np.abs(op.matrix - op.matrix.conj().T).max() < 1e-14
+    def test_operator_is_hermitian_under_default_variant(self, tmp_path):
+        m = dense_from_dump(sczech_operator(F7, 3), tmp_path / "dump.txt")
+        assert np.abs(m - m.conj().T).max() < 1e-14
 
     def test_inverse_different_misses_trace_at_odd_levels(self):
         tr = sczech_trace(F2, 3, INVERSE_DIFFERENT)
@@ -186,35 +204,34 @@ class TestSczechOperator:
         tracemalloc.start()
         try:
             with pytest.raises(InputError):
-                op.matrix                   # 16 (11^4 - 1)^2 bytes, over budget
-            with pytest.raises(InputError):
-                write_matrix_dump(op, str(tmp_path / "dump.txt"))
+                write_matrix_dump(op, str(tmp_path / "dump.txt"))   # 16 (11^4 - 1)^2 bytes
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20                 # refused before allocating
         assert not (tmp_path / "dump.txt").exists()
+        sczech_operator(F2, 68)             # 48 * 68^4 bytes: within the 1 GiB budget
         with pytest.raises(InputError):
-            sczech_operator(F2, 60)         # even O(N^4) is over budget
+            sczech_operator(F2, 69)         # 48 * 69^4 bytes: over it
 
-    def test_matrix_free_matches_dense(self):
+    def test_matrix_free_matches_dense(self, tmp_path):
         for f in (F2, F5, F7, F11):
             for N in (2, 3, 4):
                 for variant in ADMISSIBLE:
                     op = sczech_operator(f, N, variant)
                     m = dense_reference(f, N, variant)
-                    assert np.array_equal(op.matrix, m)
+                    assert np.array_equal(dense_from_dump(op, tmp_path / "dump.txt"), m)
                     assert abs(op.trace() - np.trace(m)) < 1e-12
                     defect = np.abs(m @ m - np.eye(len(m))).max()
                     assert abs(op.involution_defect() - defect) < 1e-12
 
-    def test_matrix_free_matches_dense_for_degenerate_pairings(self):
+    def test_matrix_free_matches_dense_for_degenerate_pairings(self, tmp_path):
         # The admissible pairings are perfect, so A x = 0 only at x = 0;
         # these Gram matrices are not, and exercise the other indicator tuples.
         for N in (2, 3, 4):
             for gram in DEGENERATE_GRAMS:
                 op = SczechOperator(F2, N, DEFAULT_VARIANT, gram)
-                m = op.matrix
+                m = dense_from_dump(op, tmp_path / "dump.txt")
                 assert abs(op.trace() - np.trace(m)) < 1e-12
                 defect = np.abs(m @ m - np.eye(len(m))).max()
                 assert abs(op.involution_defect() - defect) < 1e-12
@@ -233,7 +250,7 @@ class TestSczechOperator:
                 want = dump_sha256(dense_reference(F7, N, variant), tmp_path / "ref.txt")
                 assert got == want
 
-    def test_vectorized_matrix_matches_scalar_mirror(self):
+    def test_vectorized_matrix_matches_scalar_mirror(self, tmp_path):
         # scalar re-derivation of every entry, guarding the row/column
         # orientation of the Gram matrix and of the exponent tables
         import cmath
@@ -243,6 +260,7 @@ class TestSczechOperator:
             T = f.omega_trace
             for variant in (INVERSE_DIFFERENT, "symplectic-invdiff"):
                 op = sczech_operator(f, 2, variant)
+                m = dense_from_dump(op, tmp_path / "dump.txt")
                 N = 2
 
                 def y(x, z):
@@ -260,7 +278,7 @@ class TestSczechOperator:
                         e = (y(alpha, delta) - y(beta, gamma)) % N
                         want = -1 / (N**2 * (N**2 - 1)) \
                             - cmath.exp(2j * cmath.pi * e / N) / N**2
-                        assert abs(op.matrix[i, j] - want) < 1e-14
+                        assert abs(m[i, j] - want) < 1e-14
 
     def test_matrix_dump_roundtrip(self, tmp_path):
         op = sczech_operator(F2, 2)

@@ -9,8 +9,7 @@ from bianchi_lefschetz.lefschetz import (BRACKET_VARIANTS, DEFAULT_BRACKET,
                                          bracket_factor, classical_gamma_invariants,
                                          lefschetz_level_one,
                                          lefschetz_sigma_prime_power,
-                                         lefschetz_sigma_principal, make_level,
-                                         rohlfs_ab)
+                                         lefschetz_sigma_principal, make_level)
 from bianchi_lefschetz.quadfield import make_field, two_torsion_count
 
 F2, F5, F7, F11 = (make_field(d) for d in (-2, -5, -7, -11))
@@ -19,9 +18,13 @@ GRID = (F2, F5, F7, F11)
 
 class TestRohlfsTable:
     def test_frozen_rows(self):
-        assert rohlfs_ab(F7, 9) == (1, 0)          # d = 1 mod 4, t = s = 1
-        assert rohlfs_ab(F5, 3) == (2, 1)          # d = 3 mod 4, j2 = 0
-        a, b = rohlfs_ab(F2, 5)                    # d = 2 mod 4, j2 = 0, t - s = 0
+        def ab(field, N):
+            level = make_level(field, N)
+            return level.A, level.B
+
+        assert ab(F7, 9) == (1, 0)                 # d = 1 mod 4, t = s = 1
+        assert ab(F5, 3) == (2, 1)                 # d = 3 mod 4, j2 = 0
+        a, b = ab(F2, 5)                           # d = 2 mod 4, j2 = 0, t - s = 0
         assert (a, b) == (1, Fraction(1, 2))
         assert a + 2 * b == 2
 

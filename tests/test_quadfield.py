@@ -4,9 +4,9 @@ import pytest
 
 from bianchi_lefschetz.exactmath import InputError, is_prime
 from bianchi_lefschetz.oracles import ideal_class_count, min_poly_splitting
-from bianchi_lefschetz.quadfield import (ambiguous_form_count, class_number,
-                                         is_square_free, make_field, reduced_forms,
-                                         splitting_type, two_torsion_count)
+from bianchi_lefschetz.quadfield import (ambiguous_form_count, is_square_free,
+                                         make_field, reduced_forms, splitting_type,
+                                         two_torsion_count)
 
 
 class TestMakeField:
@@ -54,9 +54,9 @@ class TestSplitting:
 
 class TestClassNumber:
     def test_frozen_values(self):
-        assert class_number(make_field(-2)) == 1
-        assert class_number(make_field(-5)) == 2
-        assert class_number(make_field(-23)) == 3
+        assert make_field(-2).h == 1
+        assert make_field(-5).h == 2
+        assert make_field(-23).h == 3
 
     def test_reduced_forms_minus_23(self):
         assert sorted(reduced_forms(-23)) == [(1, 1, 6), (2, -1, 3), (2, 1, 3)]
