@@ -48,8 +48,9 @@ DEFAULT_VARIANT = SYMPLECTIC_INVDIFF
 # Bytes the Sczech operator may allocate, checked before allocating.
 # trace() and involution_defect() peak at 20-45 bytes per residue
 # quadruple (tracemalloc, d = -2 and -7, N = 7..40, falling as N grows;
-# the two count lists of N^4 slots dominate), so 48 is an upper bound;
-# the dump is budgeted at 16 bytes per dense entry.
+# the two count lists of N^4 slots dominate), so 48 is an upper bound.
+# The matrix dump streams its rows, so it is charged the bytes of the
+# file it will write instead.
 SCZECH_MEMORY_BUDGET = 2**30
 _BYTES_PER_POINT = 48
 
@@ -194,15 +195,10 @@ def variant_periodicity_defect(field: QuadField, variant: str) -> float:
     return abs(_character_on_omega(field, variant) - 1.0)
 
 
-def _require_memory(need: int, what: str) -> None:
+def _require_bytes(need: int, what: str) -> None:
     if need > SCZECH_MEMORY_BUDGET:
         raise InputError(f"{what} needs about {need / 2**20:.0f} MiB, over the "
                          f"{SCZECH_MEMORY_BUDGET / 2**20:.0f} MiB budget")
-
-
-def _require_dense(N: int) -> None:
-    size = N**4 - 1
-    _require_memory(16 * size * size, f"the dense {size} x {size} matrix")
 
 
 def _roots_of_unity(N: int) -> list[complex]:
@@ -403,7 +399,7 @@ def sczech_operator(field: QuadField, N: int, variant: str = DEFAULT_VARIANT) ->
     """The operator for the chosen variant, held as the Gram matrix of its pairing."""
     if N < 2:
         raise InputError(f"sczech_operator requires N >= 2, got {N}")
-    _require_memory(_BYTES_PER_POINT * N**4, f"the operator at N={N}")
+    _require_bytes(_BYTES_PER_POINT * N**4, f"the operator at N={N}")
     if variant not in CHARACTER_VARIANTS:
         raise InputError(f"unknown character variant {variant!r}")
     defect = variant_periodicity_defect(field, variant)
@@ -437,11 +433,16 @@ def write_matrix_dump(op: SczechOperator, path: str) -> None:
 
     An entry takes one of N values, fixed by its pairing exponent, so the
     string "j re im" of every column j and value is made once, and row i is
-    written as "i " joined with the strings its exponents pick.
+    written as "i " joined with the strings its exponents pick.  The file,
+    (N^4 - 1)^2 lines of at most the longest such line, must fit the
+    budget; a larger dump is refused before the file is opened.
     """
-    _require_dense(op.N)
     values = [f"{z.real:.17g} {z.imag:.17g}\n" for z in op._entry_values()]
-    columns = [[f"{j} {v}" for v in values] for j in range(op.N**4 - 1)]
+    size = op.N**4 - 1
+    line = 2 * len(f"{size - 1} ") + max(map(len, values))   # longest "i j re im"
+    _require_bytes(size * size * line, f"the {size} x {size} matrix dump file "
+                    f"(at most {line} bytes a line)")
+    columns = [[f"{j} {v}" for v in values] for j in range(size)]
     with open(path, "w") as fh:
         for i, row in enumerate(op._exponent_rows()):
             pre = f"{i} "

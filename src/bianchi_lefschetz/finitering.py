@@ -6,20 +6,37 @@ of omega), so it acts directly on pairs; split and inert levels share one
 code path and no CRT decomposition is ever needed here (the tests build
 the CRT isomorphism independently to cross-check).
 
-The censuses in this module are the exhaustive side of dual-route checks:
-SL2 orders, projective lines, unipotent-coset fixed-point counts under
-the two involutions, and cusp counts.  None of them uses a closed formula.
-Each does work in proportion to what it must examine: the projective line
-visits each of the N^4 pairs once and scales only orbit representatives,
-the coset census pairs the O(N) fixed first coordinates with the O(N)
-fixed second coordinates, and the brute SL2 filter looks up d from
-(a, b, c) in |R|^3 steps.
+The censuses work on element codes k = a*N + b, the index of (a, b) in
+`FiniteRing.elements()`, through two tables that each ring builds on
+first use and keeps:
+- `masks()`: one byte per element, bit i set when it lies in the i-th
+  maximal ideal (N^2 bytes).  A unit has mask 0, and (x, y) is unimodular
+  when masks[x] & masks[y] == 0; `is_unit` and `is_unimodular` read it too.
+- `product_rows()`: the |R|^2 = N^4 codes of x*y.  Only the censuses that
+  already do |R|^2 work build it; the coset census, which runs to N = 49,
+  reads the masks alone.
+Every matrix or pair handed back holds the tuples of `elements()`.
+
+The censuses are the exhaustive side of dual-route checks: SL2 orders,
+projective lines, unipotent-coset fixed-point counts under the two
+involutions, and cusp counts.  None of them uses a closed formula.  Each
+does work in proportion to what it must examine:
+- the SL2 count tallies the |R|^2 products once;
+- the projective line scans the N^4 pairs once, at C speed, and reads
+  2 * |units| products per point;
+- the local SL2 listing reads each product row once and does the size of
+  its output; the brute SL2 filter looks up d from (a, b, c) in |R|^3
+  steps;
+- the coset census pairs the O(N) fixed first coordinates with the O(N)
+  fixed second coordinates.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 
 from .eisenstein import fixed_coset_formula
 from .exactmath import ConformanceError, InputError, as_integer, factorize
@@ -31,7 +48,12 @@ Mat = tuple[Elem, Elem, Elem, Elem]  # (a, b, c, d) row-major
 
 
 class FiniteRing:
-    """The quotient ring O/(N) with its conjugation involution."""
+    """The quotient ring O/(N) with its conjugation involution.
+
+    Element k = a*N + b of `elements()` is the pair (a, b); the censuses
+    work on these codes through `masks()` and `product_rows()`, both built
+    on first use and kept for the life of the ring.
+    """
 
     def __init__(self, field: QuadField, N: int):
         if N < 2:
@@ -42,7 +64,7 @@ class FiniteRing:
         self.Nm = field.omega_norm
         # For each rational prime p | N: (p, splitting, roots of the minimal
         # polynomial of omega mod p).  The roots describe the maximal ideals
-        # over p and drive the unit / unimodularity tests below.
+        # over p, from which masks() is built.
         self.primes = []
         for p, e in factorize(N):
             spl = splitting_type(field, p)
@@ -53,8 +75,8 @@ class FiniteRing:
                     f"root count {len(roots)} mod {p} contradicts splitting {spl}")
             self.primes.append((p, e, spl, tuple(roots)))
         self._elements: list[Elem] | None = None
-        self._units: list[Elem] | None = None
-        self._inverse: dict[Elem, Elem] | None = None
+        self._masks: bytes | None = None
+        self._rows: list[list[int]] | None = None
 
     # -- ring operations ----------------------------------------------------
 
@@ -91,61 +113,78 @@ class FiniteRing:
             self._elements = [(a, b) for a in range(self.N) for b in range(self.N)]
         return self._elements
 
+    def code(self, x: Elem) -> int:
+        """The index of x in elements()."""
+        return x[0] % self.N * self.N + x[1] % self.N
+
+    # -- tables over element codes -------------------------------------------
+
+    def masks(self) -> bytes:
+        """Bit i of masks()[k] is set when element k lies in the i-th maximal
+        ideal: pO for an inert p, (p, omega - r) for each root r mod p.
+
+        Membership in an ideal over p depends on (a mod p, b mod p) only,
+        so each ideal's bits are a p x p tile repeated over the N x N codes.
+        """
+        if self._masks is None:
+            ideals = [(p, r) for p, _, spl, roots in self.primes
+                      for r in ((None,) if spl == INERT else roots)]
+            if len(ideals) > 8:
+                raise InputError(f"O/({self.N}) has {len(ideals)} maximal ideals; "
+                                 "the unit masks hold at most 8")
+            N = self.N
+            bits = 0
+            for i, (p, r) in enumerate(ideals):
+                # a + b w lies in pO when p | a, b; in (p, w - r) when p | a + b r
+                inside = [[a % p == b % p == 0 if r is None else (a + b * r) % p == 0
+                           for b in range(p)] for a in range(p)]
+                tile = b"".join(bytes(1 << i if hit else 0 for hit in row) * (N // p)
+                                for row in inside)
+                bits |= int.from_bytes(tile * (N // p), "big")
+            self._masks = bits.to_bytes(N * N, "big")
+        return self._masks
+
+    def product_rows(self) -> list[list[int]]:
+        """product_rows()[x][y] is the code of x*y: |R|^2 entries."""
+        if self._rows is None:
+            N, T, Nm = self.N, self.T, self.Nm
+            rows = []
+            for a in range(N):
+                for b in range(N):
+                    # (a + b w)(c + e w) = (a c - Nm b e) + (b c + (a + T b) e) w
+                    m, s = Nm * b, a + T * b
+                    rows.append([(a * c - m * e) % N * N + (b * c + s * e) % N
+                                 for c in range(N) for e in range(N)])
+            self._rows = rows
+        return self._rows
+
     # -- units and unimodular pairs ------------------------------------------
 
-    def _in_maximal_ideal(self, x: Elem, p: int, spl: str, root: int | None) -> bool:
-        if spl == INERT:
-            return x[0] % p == 0 and x[1] % p == 0
-        return (x[0] + x[1] * root) % p == 0
-
     def is_unit(self, x: Elem) -> bool:
-        for p, _, spl, roots in self.primes:
-            if spl == INERT:
-                if self._in_maximal_ideal(x, p, spl, None):
-                    return False
-            else:
-                for r in roots:
-                    if self._in_maximal_ideal(x, p, spl, r):
-                        return False
-        return True
+        return not self.masks()[self.code(x)]
 
     def is_unimodular(self, x: Elem, y: Elem) -> bool:
-        """True when the pair (x, y) generates the unit ideal of R.
-
-        Checked maximal ideal by maximal ideal: the pair fails exactly
-        when both coordinates fall into a common maximal ideal.
-        """
-        for p, _, spl, roots in self.primes:
-            if spl == INERT:
-                if self._in_maximal_ideal(x, p, spl, None) and \
-                   self._in_maximal_ideal(y, p, spl, None):
-                    return False
-            else:
-                for r in roots:
-                    if self._in_maximal_ideal(x, p, spl, r) and \
-                       self._in_maximal_ideal(y, p, spl, r):
-                        return False
-        return True
+        """True when the pair (x, y) generates the unit ideal of R, that is
+        when no maximal ideal holds both coordinates."""
+        masks = self.masks()
+        return not masks[self.code(x)] & masks[self.code(y)]
 
     def units(self) -> list[Elem]:
-        if self._units is None:
-            self._units = [x for x in self.elements() if self.is_unit(x)]
-        return self._units
+        els = self.elements()
+        return [els[k] for k, m in enumerate(self.masks()) if not m]
 
     def inverse(self, x: Elem) -> Elem:
-        if self._inverse is None:
-            inv: dict[Elem, Elem] = {}
-            units = self.units()
-            for u in units:
-                if u in inv:
-                    continue
-                for v in units:
-                    if self.mul(u, v) == self.one:
-                        inv[u] = v
-                        inv[v] = u
-                        break
-            self._inverse = inv
-        return self._inverse[x]
+        """x^-1 = sigma(x) * Nm(x)^-1, where Nm(x) = x * sigma(x) lies in Z/N."""
+        n = self.mul(x, self.sigma(x))[0]
+        try:
+            n_inv = pow(n, -1, self.N)
+        except ValueError:
+            raise InputError(f"{x} is not a unit of O/({self.N})") from None
+        inv = self.mul(self.sigma(x), (n_inv, 0))
+        if self.mul(x, inv) != self.one:
+            raise ConformanceError(f"sigma(x) / Nm(x) does not invert x = {x} "
+                                   f"in O/({self.N})")
+        return inv
 
 
 # -- 2x2 matrices -------------------------------------------------------------
@@ -195,13 +234,13 @@ def sl2_order_formula(field: QuadField, N: int) -> int:
 
 def _sl2_count_exhaustive(ring: FiniteRing) -> int:
     # Count quadruples with a*d - b*c = 1 through the product-count table:
-    # sum over v of #{(b,c): bc = v} * #{(a,d): ad = 1 + v}.
-    prod: Counter[Elem] = Counter()
-    els = ring.elements()
-    for x in els:
-        for y in els:
-            prod[ring.mul(x, y)] += 1
-    return sum(n * prod.get(ring.add(ring.one, v), 0) for v, n in prod.items())
+    # sum over v of #{(b,c): bc = v} * #{(a,d): ad = 1 + v}.  Adding
+    # 1 = (1, 0) to a code adds N, modulo |R| = N^2.
+    prod: Counter[int] = Counter()
+    for row in ring.product_rows():
+        prod.update(row)
+    N, size = ring.N, ring.N * ring.N
+    return sum(n * prod[(v + N) % size] for v, n in prod.items())
 
 
 def sl2_order(ring: FiniteRing) -> int:
@@ -221,71 +260,85 @@ def sl2_order(ring: FiniteRing) -> int:
 
 
 def enumerate_sl2(ring: FiniteRing) -> list[Mat]:
-    """All of SL2(R).
+    """All of SL2(R), every entry an object of ring.elements().
 
+    Both branches read the product rows, |R|^2 codes made once per ring.
     Non-local R with |R|^4 <= 200 000: a brute filter in |R|^3 steps.  For
-    each a the d are bucketed by a*d, and each (a, b, c) takes the d in
-    bucket[1 + b*c]; the list is in lexicographic (a, b, c, d) order.
-    Local R: every unimodular column (a, c) has a unit coordinate, so each
-    is completed to one matrix and the unipotent fiber over it is swept;
-    the work is the size of the output.  The |R|^2 products x*y are made
-    once, and every entry is an object of ring.elements().
+    each a the d are bucketed by the code of a*d, and each (a, b, c) takes
+    the d in bucket[1 + b*c]; the list is in lexicographic (a, b, c, d)
+    order.  Local R: every unimodular column (a, c) has a unit coordinate,
+    so it is completed to one matrix (a, b0; c, d0) and the unipotent fibre
+    (a, b0 + x*a; c, d0 + x*c) over it is listed for x in code order.  Row
+    y of the product table becomes an itemgetter that picks, for every x,
+    entry x*y of a list; applied to the elements translated by b0 or d0 it
+    gives a fibre's b or d entries, and the four columns are zipped into
+    matrices.  The work is the size of the output, and each product row is
+    read once.
     """
     els = ring.elements()
-    n4 = len(els) ** 4
+    size = len(els)
     local = len(ring.primes) == 1 and ring.primes[0][2] in (INERT, RAMIFIED)
-    if n4 > 200_000 and not local:
+    if size**4 > 200_000 and not local:
         raise InputError(f"SL2 enumeration too large for (d={ring.field.d}, N={ring.N})")
-    if n4 <= 200_000 and not local:
-        one = ring.one
-        out: list[Mat] = []
-        for a in els:
-            by_product: dict[Elem, list[Elem]] = {}
-            for d in els:
-                by_product.setdefault(ring.mul(a, d), []).append(d)
-            for b in els:
-                for c in els:
-                    out.extend((a, b, c, d)
-                               for d in by_product.get(ring.add(one, ring.mul(b, c)), ()))
+    N, rows = ring.N, ring.product_rows()
+    out: list[Mat] = []
+    if not local:
+        for a, row_a in enumerate(rows):
+            by_product: list[list[Elem]] = [[] for _ in range(size)]
+            for d, p in enumerate(row_a):
+                by_product[p].append(els[d])
+            for b, row_b in enumerate(rows):
+                for c, p in enumerate(row_b):
+                    out.extend((els[a], els[b], els[c], d)
+                               for d in by_product[(p + N) % size])
         return out
-    N = ring.N
-    multiples = {y: [ring.mul(x, y) for x in els] for y in els}
-    out = []
-    for a in els:
-        xa = multiples[a]
-        for c in els:
-            if not ring.is_unimodular(a, c):
-                continue
-            if ring.is_unit(a):
-                b0, d0 = ring.zero, ring.inverse(a)
-            else:
-                b0, d0 = ring.neg(ring.inverse(c)), ring.zero
-            # entries are the shared tuples of els, els[u*N + v] == (u, v)
-            out.extend((a, els[(b0[0] + p) % N * N + (b0[1] + q) % N],
-                        c, els[(d0[0] + r) % N * N + (d0[1] + t) % N])
-                       for (p, q), (r, t) in zip(xa, multiples[c]))
+    masks = ring.masks()
+    times = [itemgetter(*row) for row in rows]
+
+    def translated(t: Elem) -> list[Elem]:
+        # els[code(t + v)] for every code v
+        return [els[(t[0] + i) % N * N + (t[1] + j) % N] for i in range(N) for j in range(N)]
+
+    units = [k for k in range(size) if not masks[k]]
+    # the elements translated by b0 = -c^-1, for each unit c; used when a
+    # is not a unit
+    minus_inverse = {c: translated(ring.neg(ring.inverse(els[c]))) for c in units}
+    for a in range(size):
+        ea = els[a]
+        if not masks[a]:
+            bs = times[a](els)                               # b0 = 0
+            inverse_shift = translated(ring.inverse(ea))      # d0 = a^-1
+            for c in range(size):
+                out.extend(zip(repeat(ea, size), bs, repeat(els[c], size),
+                               times[c](inverse_shift)))
+        else:
+            for c in units:                                   # d0 = 0
+                out.extend(zip(repeat(ea, size), times[a](minus_inverse[c]),
+                               repeat(els[c], size), times[c](els)))
     return out
 
 
-def _orbit_minima(points, index, unimodular, scale, units):
-    """The least pair of each unit orbit of unimodular pairs, in order.
+def _orbit_minima(masks: bytes, scale: list) -> list[tuple[int, int]]:
+    """The least code pair of each unit orbit of unimodular pairs, in order.
 
-    `points` must be listed in increasing order, with `index` its inverse.
-    Pairs are scanned lexicographically, so the first unmarked unimodular
-    pair is its orbit's minimum; it is kept and its whole orbit marked.
-    Each pair is visited once and only kept pairs are scaled, so the cost
-    is |points|^2 visits plus 2 * |units| products per orbit.
+    masks[k] holds the maximal-ideal bits of code k, and `scale` has one
+    row per unit u with row[k] the code of u*k.  A bytearray over all pairs
+    starts with the non-unimodular ones marked.  In lexicographic order the
+    next unmarked pair (a C-level find) is the least of its orbit, so it is
+    kept and its |units| members are marked: 2 * |units| reads of `scale`
+    per orbit, the pairs are scanned once.
     """
-    size = len(points)
-    marked = bytearray(size * size)
+    size = len(masks)
+    blocked = {m: bytes(bool(m & other) for other in masks) for m in set(masks)}
+    marked = bytearray(b"".join(blocked[m] for m in masks))
     reps = []
-    for i, x in enumerate(points):
-        for j, y in enumerate(points):
-            if marked[i * size + j] or not unimodular(x, y):
-                continue
-            reps.append((x, y))
-            for u in units:
-                marked[index(scale(u, x)) * size + index(scale(u, y))] = 1
+    pos = marked.find(0)
+    while pos >= 0:
+        x, y = divmod(pos, size)
+        reps.append((x, y))
+        for row in scale:
+            marked[row[x] * size + row[y]] = 1
+        pos = marked.find(0, pos + 1)
     return reps
 
 
@@ -293,23 +346,25 @@ def projective_line(ring: FiniteRing) -> list[tuple[Elem, Elem]]:
     """Canonical representatives of P^1(O/(N)) for prime-power N, sorted.
 
     A point is a unimodular pair up to unit scaling; its representative is
-    the minimum of the orbit in coefficient encoding, found as the first
-    pair of the orbit in a lexicographic scan.  O(N^4) work: each pair is
-    visited once, and 2 * |units| products per point mark its orbit.
+    the minimum of the orbit in code order, found as the first pair of the
+    orbit in a lexicographic scan of the codes.  Unimodularity is read
+    from the masks, and the units scale through their rows of the product
+    table (|R|^2 codes, built here).  O(N^4) work: each pair is scanned
+    once, and each point reads 2 * |units| products to mark its orbit.
     """
     if len(ring.primes) != 1:
         raise InputError("projective_line is implemented for prime-power N only")
-    N = ring.N
-    return _orbit_minima(ring.elements(), lambda x: x[0] * N + x[1],
-                         ring.is_unimodular, ring.mul, ring.units())
+    els, masks, rows = ring.elements(), ring.masks(), ring.product_rows()
+    scale = [rows[u] for u in range(len(els)) if not masks[u]]
+    return [(els[x], els[y]) for x, y in _orbit_minima(masks, scale)]
 
 
 def projective_line_zmod(n: int) -> list[tuple[int, int]]:
     """P^1(Z/n): the least unimodular pair of each unit orbit, sorted."""
-    from math import gcd
-
-    return _orbit_minima(range(n), lambda x: x, lambda x, y: gcd(gcd(x, y), n) == 1,
-                         lambda u, x: u * x % n, [u for u in range(n) if gcd(u, n) == 1])
+    primes = [p for p, _ in factorize(n)]
+    masks = bytes(sum(1 << i for i, p in enumerate(primes) if x % p == 0) for x in range(n))
+    return _orbit_minima(masks, [[u * x % n for x in range(n)]
+                                 for u in range(n) if not masks[u]])
 
 
 def fixed_coset_count(ring: FiniteRing, involution: str) -> int:
@@ -319,8 +374,10 @@ def fixed_coset_count(ring: FiniteRing, involution: str) -> int:
     columns (a, c); the involution fixes a coset exactly when it fixes the
     column: (sigma a, sigma c) = (a, c) for sigma and
     (sigma a, -sigma c) = (a, c) for tau.  Requires N = p^n with p an odd
-    unramified prime.  One pass over R collects the admissible a and c
-    (O(N) of each); their product is then tested pair by pair, O(N^2).
+    unramified prime.  One pass over the N^2 element codes collects the
+    masks of the admissible a and c (O(N) of each); their product is then
+    tested pair by pair, O(N^2).  Only the masks are built (N^2 bytes),
+    never the product rows, so levels up to N = 49 stay cheap.
     """
     if involution not in (SIGMA, TAU):
         raise InputError(f"unknown involution {involution!r}")
@@ -329,14 +386,16 @@ def fixed_coset_count(ring: FiniteRing, involution: str) -> int:
     p, _, spl, _ = ring.primes[0]
     if p == 2 or spl == RAMIFIED:
         raise InputError("fixed_coset_count requires an odd unramified prime")
+    N, T, masks = ring.N, ring.T, ring.masks()
+    sign = 1 if involution == SIGMA else -1
     fixed_a, fixed_c = [], []
-    for x in ring.elements():
-        sx = ring.sigma(x)
-        if sx == x:
-            fixed_a.append(x)
-        if (sx if involution == SIGMA else ring.neg(sx)) == x:
-            fixed_c.append(x)
-    return sum(1 for a in fixed_a for c in fixed_c if ring.is_unimodular(a, c))
+    for k, (a, b) in enumerate(ring.elements()):
+        sa, sb = (a + T * b) % N, -b % N                  # sigma(a + b w)
+        if sa == a and sb == b:
+            fixed_a.append(masks[k])
+        if sign * sa % N == a and sign * sb % N == b:
+            fixed_c.append(masks[k])
+    return sum(1 for ma in fixed_a for mc in fixed_c if not ma & mc)
 
 
 @dataclass(frozen=True)

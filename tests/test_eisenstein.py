@@ -204,12 +204,19 @@ class TestSczechOperator:
         tracemalloc.start()
         try:
             with pytest.raises(InputError):
-                write_matrix_dump(op, str(tmp_path / "dump.txt"))   # 16 (11^4 - 1)^2 bytes
+                write_matrix_dump(op, str(tmp_path / "dump.txt"))   # a file of about 12 GB
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20                 # refused before allocating
         assert not (tmp_path / "dump.txt").exists()
+        # the dump is charged the bytes of its file, not of a dense matrix:
+        # N = 9 (6560^2 lines, about 2 GB) is refused, N = 4 (2.6 MB) is written
+        with pytest.raises(InputError, match="dump file"):
+            write_matrix_dump(sczech_operator(F2, 9), str(tmp_path / "dump.txt"))
+        assert not (tmp_path / "dump.txt").exists()
+        write_matrix_dump(sczech_operator(F2, 4), str(tmp_path / "dump.txt"))
+        assert (tmp_path / "dump.txt").stat().st_size == 2587260
         sczech_operator(F2, 68)             # 48 * 68^4 bytes: within the 1 GiB budget
         with pytest.raises(InputError):
             sczech_operator(F2, 69)         # 48 * 69^4 bytes: over it

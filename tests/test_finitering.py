@@ -3,7 +3,7 @@ from math import gcd
 import pytest
 
 from bianchi_lefschetz.eisenstein import cusp_count
-from bianchi_lefschetz.exactmath import InputError
+from bianchi_lefschetz.exactmath import ConformanceError, InputError
 from bianchi_lefschetz.finitering import (FiniteRing, cusp_count_bruteforce,
                                           enumerate_sl2, fixed_coset_count,
                                           fixed_coset_report, mat_det, mat_identity,
@@ -41,12 +41,43 @@ class TestRingBasics:
             assert to_crt(ring.sigma(x)) == to_crt(x)[::-1]
 
     def test_unimodularity_matches_lattice_oracle(self):
-        for f, N in ((F2, 4), (F2, 6), (F7, 3), (F5, 5), (F11, 9)):
+        # every pair, on prime-power and composite levels (6 and 12 mix
+        # ramified with split, 10 split with inert)
+        for f, N in ((F2, 4), (F2, 6), (F7, 3), (F5, 5), (F11, 9), (F7, 10), (F5, 12)):
             ring = FiniteRing(f, N)
             for x in ring.elements():
-                for y in ring.elements()[:: max(1, N // 2)]:
+                assert ring.is_unit(x) == is_unimodular_pair_oracle(f, N, x, ring.zero)
+                for y in ring.elements():
                     assert ring.is_unimodular(x, y) == \
                         is_unimodular_pair_oracle(f, N, x, y)
+
+    def test_masks_refuse_more_than_eight_maximal_ideals(self):
+        # 3, 11, 17, 19 and 41 split in Q(sqrt(-2)): ten maximal ideals
+        ring = FiniteRing(F2, 3 * 11 * 17 * 19 * 41)
+        with pytest.raises(InputError):
+            ring.is_unit(ring.one)
+
+    @pytest.mark.parametrize("f,N", [(F2, 3), (F7, 3), (F2, 5), (F2, 4), (F5, 5),
+                                     (F2, 6), (F7, 12)])
+    def test_inverse_matches_unit_search(self, f, N):
+        # split, inert, ramified and composite levels
+        ring = FiniteRing(f, N)
+        want = _inverse_search_ref(ring)
+        assert {u: ring.inverse(u) for u in ring.units()} == want
+        assert len(want) == len(ring.units())
+
+    def test_inverse_refuses_non_units(self):
+        ring = FiniteRing(F2, 6)
+        for x in ((0, 0), (2, 0), (3, 0), (0, 1)):     # (omega) = (sqrt(-2)) lies over 2
+            assert not ring.is_unit(x)
+            with pytest.raises(InputError):
+                ring.inverse(x)
+
+    def test_inverse_checks_its_product(self, monkeypatch):
+        ring = FiniteRing(F7, 5)
+        monkeypatch.setattr(ring, "sigma", lambda x: x)    # a wrong conjugation
+        with pytest.raises(ConformanceError):
+            ring.inverse((0, 1))
 
 
 class TestInvolutionsOnMatrices:
@@ -216,6 +247,21 @@ def test_cache_variable_is_ignored(tmp_path, monkeypatch):
 # -- reference copies of the earlier, slower census algorithms ----------------
 
 
+def _inverse_search_ref(ring):
+    # the earlier O(|units|^2) search for each unit's inverse
+    inv = {}
+    units = ring.units()
+    for u in units:
+        if u in inv:
+            continue
+        for v in units:
+            if ring.mul(u, v) == ring.one:
+                inv[u] = v
+                inv[v] = u
+                break
+    return inv
+
+
 def _projective_line_ref(ring):
     units = ring.units()
     reps = set()
@@ -317,20 +363,45 @@ class TestAgainstReferences:
                 _fixed_coset_count_ref(ring, involution), involution
 
     def test_projective_line_work_is_linear_in_pairs(self, monkeypatch):
-        # Each unimodular pair is scaled at most once per coordinate.  Taking
-        # the orbit minimum of every pair would cost 2 * |units| products
-        # per pair, N^6 in all.
+        # Each orbit reads 2 * |units| products, one per coordinate and unit,
+        # so at most two per unimodular pair.  Taking the orbit minimum of
+        # every pair would read 2 * |units| products per pair, N^6 in all.
         ring = FiniteRing(F2, 11)
         unimodular = sum(1 for x in ring.elements() for y in ring.elements()
                          if ring.is_unimodular(x, y))
-        calls = 0
-        real_mul = FiniteRing.mul
-
-        def counting_mul(self, x, y):
-            nonlocal calls
-            calls += 1
-            return real_mul(self, x, y)
-
-        monkeypatch.setattr(FiniteRing, "mul", counting_mul)
+        products = _count_products(monkeypatch)
         assert len(projective_line(ring)) == 144
-        assert 0 < calls <= 2 * unimodular
+        assert 0 < products[0] <= 2 * unimodular
+
+    @pytest.mark.parametrize("f,N", [(F2, 7), (F11, 4), (F7, 7)])
+    def test_local_sl2_reads_each_product_row_once(self, monkeypatch, f, N):
+        # The fibres over the |R|^2 - |m|^2 unimodular columns take their b
+        # and d entries from two product rows each; reading those rows per
+        # column instead of once per element would cost about 2 * |R|^3.
+        ring = FiniteRing(f, N)
+        size = len(ring.elements())
+        products = _count_products(monkeypatch)
+        assert len(enumerate_sl2(ring)) == sl2_order_formula(f, N)
+        assert 0 < products[0] <= 2 * size * size
+
+
+def _count_products(monkeypatch):
+    """Count the products the censuses read from FiniteRing.product_rows:
+    one per entry looked up, a whole row per pass over it."""
+    count = [0]
+
+    class Row:
+        def __init__(self, row):
+            self.row = row
+
+        def __getitem__(self, k):
+            count[0] += 1
+            return self.row[k]
+
+        def __iter__(self):
+            count[0] += len(self.row)
+            return iter(self.row)
+
+    real = FiniteRing.product_rows
+    monkeypatch.setattr(FiniteRing, "product_rows", lambda self: [Row(r) for r in real(self)])
+    return count
