@@ -11,9 +11,10 @@ at (row (s,t), column (u,v)) is
 
 so its trace is -(N^2+1) whenever phi vanishes on the diagonal pairing.
 The pairing is bilinear mod N, so the operator is held as its 4 x 4 Gram
-matrix of Python ints: the trace comes out in O(N^3) and the defect of
-M^2 = I in O(N^4) integer steps, and the dense (N^4-1)^2 matrix is only
-ever written out, row by row, as the matrix dump.
+matrix of Python ints: the trace comes out in O(N^3) integer steps and
+the defect of M^2 = I from four kernel sizes of O(N^2) steps each, both
+in O(N^2) memory, and the dense (N^4-1)^2 matrix is only ever written
+out, row by row, as the matrix dump.
 Which character phi and which pairing argument make this well defined is
 not obvious; three readings are registered as CharacterVariant and the
 construction-time periodicity check plus the trace / involution tests
@@ -29,9 +30,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, product
+from itertools import product
 
-from .exactmath import ConformanceError, InputError, as_integer, factorize
+from .exactmath import ConformanceError, InputError, as_integer, factorize, require_bytes
 from .quadfield import (INERT, RAMIFIED, SIGMA, TAU, QuadField, norm_euler_product,
                         splitting_type, two_torsion_count)
 
@@ -45,14 +46,13 @@ CHARACTER_VARIANTS = (LITERAL_D, INVERSE_DIFFERENT, SYMPLECTIC_INVDIFF)
 # the identity on the span.
 DEFAULT_VARIANT = SYMPLECTIC_INVDIFF
 
-# Bytes the Sczech operator may allocate, checked before allocating.
-# trace() and involution_defect() peak at 20-45 bytes per residue
-# quadruple (tracemalloc, d = -2 and -7, N = 7..40, falling as N grows;
-# the two count lists of N^4 slots dominate), so 48 is an upper bound.
-# The matrix dump streams its rows, so it is charged the bytes of the
-# file it will write instead.
-SCZECH_MEMORY_BUDGET = 2**30
-_BYTES_PER_POINT = 48
+# Bytes the Sczech operator is charged per residue pair before allocating.
+# The largest thing trace() and involution_defect() hold is one kernel
+# size's count of half-values: tracemalloc peaks of 133-160 bytes per pair
+# at N = 30..100 and 183-208 at N = 300..400 (d = -2 and -7, both variants),
+# so 256 is an upper bound.  The matrix dump streams its rows, so it is
+# charged the bytes of the file it will write instead.
+_BYTES_PER_PAIR = 256
 
 
 class IllDefinedVariantError(ConformanceError):
@@ -195,12 +195,6 @@ def variant_periodicity_defect(field: QuadField, variant: str) -> float:
     return abs(_character_on_omega(field, variant) - 1.0)
 
 
-def _require_bytes(need: int, what: str) -> None:
-    if need > SCZECH_MEMORY_BUDGET:
-        raise InputError(f"{what} needs about {need / 2**20:.0f} MiB, over the "
-                         f"{SCZECH_MEMORY_BUDGET / 2**20:.0f} MiB budget")
-
-
 def _roots_of_unity(N: int) -> list[complex]:
     """exp(2 pi i k / N) for k < N, the angle rounded as 2 pi k * (1/N)."""
     step = 1.0 / N
@@ -217,8 +211,9 @@ class SczechOperator:
     -a - e(x^T A z / N) / N^2 with a = 1/(N^2 (N^2 - 1)) and
     e(t) = exp(2 pi i t), so the 4 x 4 integer Gram matrix A of the pairing
     (a tuple of rows of ints; any 4 x 4 integer sequence is accepted) fixes
-    the operator.  trace() and involution_defect() are read off A in O(N^3)
-    and O(N^4) integer steps; the dense matrix exists only as the dump.
+    the operator.  trace() is read off A in O(N^3) integer steps and
+    involution_defect() in O(N^2), neither holding more than O(N^2); the
+    N^4 indices and the dense matrix exist only for the dump.
     """
     field: QuadField
     N: int
@@ -289,30 +284,21 @@ class SczechOperator:
         roots = _roots_of_unity(N)
         return float(exact) - complex(sum(c * z for c, z in zip(counts[1:], roots[1:]))) / n2
 
-    def _codes(self, M) -> Iterator[list[int]]:
-        """The codes of M x mod N over all x = (x0, x1, x2, x3) in lexicographic
-        order, one list of N^2 codes per (x0, x1).
+    def _kernel_size(self, rows) -> int:
+        """#{x mod N : M x = 0} for the integer matrix M with these rows.
 
-        A vector r mod N is encoded as r0 N^3 + r1 N^2 + r2 N + r3.  With
-        r = M (x0, x1, x2, 0) mod N, the codes over x3 are the sum of a list
-        fixed by (r0, r1) and one fixed by (r2, r3); both are tabulated once,
-        so a code costs one addition.
+        M x = 0 exactly when M (x0, x1, 0, 0) = -M (0, 0, x2, x3), so the
+        values of the first half are counted over its N^2 arguments and
+        looked up for each value of the second: O(N^2) steps and memory.
         """
         N = self.N
-        place = (N**3, N**2, N, 1)
-        # cells[k][r][x3] = place[k] * ((r + M[k][3] x3) mod N)
-        cells = [[[(r + M[k][3] * x3) % N * place[k] for x3 in range(N)] for r in range(N)]
-                 for k in range(4)]
-        high = [list(map(operator.add, a, b)) for a in cells[0] for b in cells[1]]
-        low = [list(map(operator.add, a, b)) for a in cells[2] for b in cells[3]]
-        (a0, b0, c0, _), (a1, b1, c1, _), (a2, b2, c2, _), (a3, b3, c3, _) = M
-        for x0, x1 in product(range(N), repeat=2):
-            row: list[int] = []
-            for x2 in range(N):
-                r01 = (a0 * x0 + b0 * x1 + c0 * x2) % N * N + (a1 * x0 + b1 * x1 + c1 * x2) % N
-                r23 = (a2 * x0 + b2 * x1 + c2 * x2) % N * N + (a3 * x0 + b3 * x1 + c3 * x2) % N
-                row += map(operator.add, high[r01], low[r23])
-            yield row
+
+        def half(i: int, sign: int) -> Iterator[tuple[int, ...]]:
+            return (tuple(sign * (r[i] * p + r[i + 1] * q) % N for r in rows)
+                    for p in range(N) for q in range(N))
+
+        counts = Counter(half(0, 1))
+        return sum(counts[key] for key in half(2, -1))
 
     def involution_defect(self) -> float:
         """max |M^2 - I| over all entries, exactly, from the structure of M^2.
@@ -323,30 +309,25 @@ class SczechOperator:
             (chi J)[x, z] = N^4 [A^T x = 0] - 1,   (J chi)[x, z] = N^4 [A z = 0] - 1,
 
         so an entry of M^2 - I depends only on rL = [A^T x = 0], rR = [A z = 0],
-        dlt = [-A^T x = A z] and [x = z].  With -A^T x and A z encoded as
-        integers u(x) and v(z), their counts give how many entries carry each
-        indicator tuple; the maximum runs over the tuples that occur.
+        dlt = [-A^T x = A z] and [x = z].  How many entries carry each
+        indicator tuple follows from four kernel sizes: of A, of A^T, of
+        A + A^T (the x with -A^T x = A x) and of A and A^T together.  The
+        pairs (x, z) with A^T x + A z = 0 form the kernel of the map
+        [A^T A] on (Z/N)^8, whose transpose x -> (A x, A^T x) has kernel
+        ker A & ker A^T; a Z/N-linear map and its transpose have images of
+        the same size, so there are N^4 |ker A & ker A^T| such pairs.  The
+        maximum runs over the tuples that occur.
         """
         N, A = self.N, self.gram
         size, n2, n4 = N**4 - 1, N**2, N**4
-        minus_transpose = [[-A[i][k] for i in range(4)] for k in range(4)]
-        cu, cv = [0] * n4, [0] * n4
-        equal = both_zero = 0                   # x with u(x) = v(x), and with u = v = 0
-        for us, vs in zip(self._codes(minus_transpose), self._codes(A)):
-            for code in us:
-                cu[code] += 1
-            for code in vs:
-                cv[code] += 1
-            same = list(compress(us, map(operator.eq, us, vs)))
-            equal += len(same)
-            both_zero += same.count(0)
-        # x = 0 is no index; it has u = v = 0
-        cu[0] -= 1
-        cv[0] -= 1
-        equal -= 1
-        both_zero -= 1
-        u0, v0 = cu[0], cv[0]
-        matched = sum(map(operator.mul, cu, cv)) - u0 * v0
+        transpose = tuple(zip(*A))
+        ker_a, ker_t = self._kernel_size(A), self._kernel_size(transpose)
+        ker_both = self._kernel_size(A + transpose)
+        # x = 0 is no index; it lies in every kernel
+        u0, v0, both_zero = ker_t - 1, ker_a - 1, ker_both - 1      # A^T x = 0, A x = 0, both
+        equal = self._kernel_size([list(map(operator.add, r, t))
+                                   for r, t in zip(A, transpose)]) - 1
+        matched = n4 * ker_both - ker_a * ker_t     # pairs with -A^T x = A z != 0
         # entries per code 4 rL + 2 rR + dlt: over the whole matrix, on its diagonal
         total = {0b000: (size - u0) * (size - v0) - matched, 0b001: matched,
                  0b010: (size - u0) * v0, 0b100: u0 * (size - v0), 0b111: u0 * v0}
@@ -389,8 +370,6 @@ def _pairing(field: QuadField, N: int, variant: str, x, z) -> int:
     g1, g2, d1, d2 = z                      # gamma, delta
     if variant == INVERSE_DIFFERENT:
         g1, g2, d1, d2 = g1 + T * g2, -g2, d1 + T * d2, -d2
-    elif variant != SYMPLECTIC_INVDIFF:
-        raise IllDefinedVariantError(f"variant {variant!r} has no residue pairing")
     a1, b1, a2, b2 = x
     return (y_prod(a1, b1, d1, d2) - y_prod(a2, b2, g1, g2)) % N
 
@@ -399,7 +378,7 @@ def sczech_operator(field: QuadField, N: int, variant: str = DEFAULT_VARIANT) ->
     """The operator for the chosen variant, held as the Gram matrix of its pairing."""
     if N < 2:
         raise InputError(f"sczech_operator requires N >= 2, got {N}")
-    _require_bytes(_BYTES_PER_POINT * N**4, f"the operator at N={N}")
+    require_bytes(_BYTES_PER_PAIR * N**2, f"the operator at N={N}")
     if variant not in CHARACTER_VARIANTS:
         raise InputError(f"unknown character variant {variant!r}")
     defect = variant_periodicity_defect(field, variant)
@@ -440,8 +419,8 @@ def write_matrix_dump(op: SczechOperator, path: str) -> None:
     values = [f"{z.real:.17g} {z.imag:.17g}\n" for z in op._entry_values()]
     size = op.N**4 - 1
     line = 2 * len(f"{size - 1} ") + max(map(len, values))   # longest "i j re im"
-    _require_bytes(size * size * line, f"the {size} x {size} matrix dump file "
-                    f"(at most {line} bytes a line)")
+    require_bytes(size * size * line, f"the {size} x {size} matrix dump file "
+                   f"(at most {line} bytes a line)")
     columns = [[f"{j} {v}" for v in values] for j in range(size)]
     with open(path, "w") as fh:
         for i, row in enumerate(op._exponent_rows()):

@@ -28,6 +28,15 @@ class ConformanceError(RuntimeError):
     """
 
 
+MEMORY_BUDGET = 2**30     # bytes one census or operator may hold, checked before allocating
+
+
+def require_bytes(need: int, what: str) -> None:
+    if need > MEMORY_BUDGET:
+        raise InputError(f"{what} needs about {need / 2**20:.0f} MiB, over the "
+                         f"{MEMORY_BUDGET / 2**20:.0f} MiB budget")
+
+
 _TRIAL_LIMIT = 10**6
 
 # The primes up to 37: the trial divisors, and a deterministic Miller-Rabin

@@ -28,7 +28,9 @@ does work in proportion to what it must examine:
   its output; the brute SL2 filter looks up d from (a, b, c) in |R|^3
   steps;
 - the coset census pairs the O(N) fixed first coordinates with the O(N)
-  fixed second coordinates.
+  fixed second coordinates;
+- the cusp census pairs the distinct mask values, weighted by how many
+  elements carry each.
 """
 
 from __future__ import annotations
@@ -39,12 +41,17 @@ from itertools import repeat
 from operator import itemgetter
 
 from .eisenstein import fixed_coset_formula
-from .exactmath import ConformanceError, InputError, as_integer, factorize
+from .exactmath import ConformanceError, InputError, as_integer, factorize, require_bytes
 from .quadfield import (INERT, RAMIFIED, SIGMA, SPLIT, TAU, QuadField,
                         norm_euler_product, splitting_type)
 
 Elem = tuple[int, int]
 Mat = tuple[Elem, Elem, Elem, Elem]  # (a, b, c, d) row-major
+
+# Bytes one matrix of the SL2 listing holds: a 4-tuple of shared element
+# tuples and its list slot (tracemalloc: 79-81 at N = 5..11, split, inert
+# and ramified), so 88 is an upper bound.
+_BYTES_PER_MATRIX = 88
 
 
 class FiniteRing:
@@ -262,8 +269,9 @@ def sl2_order(ring: FiniteRing) -> int:
 def enumerate_sl2(ring: FiniteRing) -> list[Mat]:
     """All of SL2(R), every entry an object of ring.elements().
 
-    Both branches read the product rows, |R|^2 codes made once per ring.
-    Non-local R with |R|^4 <= 200 000: a brute filter in |R|^3 steps.  For
+    The output, #SL2(R) matrices, is charged against the memory budget
+    before anything is built.  Both branches read the product rows, |R|^2
+    codes made once per ring.  Non-local R: a brute filter in |R|^3 steps.  For
     each a the d are bucketed by the code of a*d, and each (a, b, c) takes
     the d in bucket[1 + b*c]; the list is in lexicographic (a, b, c, d)
     order.  Local R: every unimodular column (a, c) has a unit coordinate,
@@ -275,11 +283,11 @@ def enumerate_sl2(ring: FiniteRing) -> list[Mat]:
     matrices.  The work is the size of the output, and each product row is
     read once.
     """
+    require_bytes(_BYTES_PER_MATRIX * sl2_order_formula(ring.field, ring.N),
+                  f"the SL2 listing at (d={ring.field.d}, N={ring.N})")
     els = ring.elements()
     size = len(els)
     local = len(ring.primes) == 1 and ring.primes[0][2] in (INERT, RAMIFIED)
-    if size**4 > 200_000 and not local:
-        raise InputError(f"SL2 enumeration too large for (d={ring.field.d}, N={ring.N})")
     N, rows = ring.N, ring.product_rows()
     out: list[Mat] = []
     if not local:
@@ -426,14 +434,13 @@ def fixed_coset_report(ring: FiniteRing, involution: str) -> CensusReport:
 
 def cusp_count_bruteforce(field: QuadField, N: int) -> int:
     """Number of cusps of the level-N principal congruence subgroup,
-    computed as h * #SL2(O/(N)) / N^2 with the enumerated SL2 order.
-
+    counted as h * #{unimodular columns (a, c) of O/(N)}: the columns are
+    the cosets of the unitriangular group, so this is h * #SL2 / N^2 with
+    no group order.  (a, c) is unimodular when their masks are disjoint, so
+    the distinct mask values are paired, weighted by their multiplicities.
     N >= 3 keeps -1 out of the subgroup, which the coset counting assumes.
     """
     if N < 3:
         raise InputError(f"cusp_count_bruteforce requires N >= 3, got {N}")
-    order = sl2_order(FiniteRing(field, N))
-    total = field.h * order
-    if total % (N * N):
-        raise ConformanceError(f"SL2 order {order} not divisible by N^2 = {N * N}")
-    return total // (N * N)
+    tally = Counter(FiniteRing(field, N).masks()).items()
+    return field.h * sum(m * n for a, m in tally for c, n in tally if not a & c)

@@ -188,10 +188,13 @@ class TestVerifyCommand:
         assert "census 24 vs closed formula 4, ratio 6," in out
 
     def test_raising_check_is_a_fail_line(self, capsys, monkeypatch):
-        monkeypatch.setattr(finitering, "sl2_order_formula", lambda field, N: 1)
+        # every prime reported inert: O/(3) in Q(sqrt(-2)) then has two roots
+        # too many, and the first cusp census raises building its ring
+        monkeypatch.setattr(finitering, "splitting_type", lambda field, p: "inert")
         code, out, err = run_cli(capsys, "verify", "cusps")
         assert code == 2 and not err
-        assert "FAIL cusps: check raised ConformanceError: SL2 order mismatch" in out
+        assert ("FAIL cusps: check raised ConformanceError: root count 2 mod 3 "
+                "contradicts splitting inert") in out
         code, out, err = run_cli(capsys, "verify", "all")
         assert code == 2 and not err
         assert "PASS anchors: GL2 trace at (d=-2, k=0) == 0" in out

@@ -199,7 +199,7 @@ class TestSczechOperator:
         assert abs(tr.value - trace_sigma_h1_eis(F2, 5, 1)) < 1e-8
 
     def test_size_guard(self, tmp_path):
-        op = sczech_operator(F2, 11)       # matrix-free: O(N^4) only
+        op = sczech_operator(F2, 11)       # matrix-free: O(N^2) only
         assert op.trace() == -(11 * 11 + 1)
         tracemalloc.start()
         try:
@@ -217,9 +217,9 @@ class TestSczechOperator:
         assert not (tmp_path / "dump.txt").exists()
         write_matrix_dump(sczech_operator(F2, 4), str(tmp_path / "dump.txt"))
         assert (tmp_path / "dump.txt").stat().st_size == 2587260
-        sczech_operator(F2, 68)             # 48 * 68^4 bytes: within the 1 GiB budget
+        sczech_operator(F2, 2048)           # 256 * 2048^2 bytes: the whole 1 GiB budget
         with pytest.raises(InputError):
-            sczech_operator(F2, 69)         # 48 * 69^4 bytes: over it
+            sczech_operator(F2, 2049)       # 256 * 2049^2 bytes: over it
 
     def test_matrix_free_matches_dense(self, tmp_path):
         for f in (F2, F5, F7, F11):
@@ -247,6 +247,24 @@ class TestSczechOperator:
         op = sczech_operator(F2, 30)
         assert op.trace() == -901
         assert op.involution_defect() < 1e-9
+
+    def test_level_past_the_quartic_guard(self):
+        # 72^4 = 2.7e7 residue quadruples, and nothing of that size is held
+        op = sczech_operator(F2, 72)
+        assert op.trace() == -(72 * 72 + 1)
+        assert op.involution_defect() == 0.0
+
+    def test_trace_and_defect_memory(self):
+        # O(N^2) held: two count lists of N^4 slots would take about 49 MB
+        op = sczech_operator(F2, 40)
+        tracemalloc.start()
+        try:
+            assert op.trace() == -1601
+            assert op.involution_defect() == 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_matrix_dump_byte_identical_to_dense(self, tmp_path):
         for N in (2, 3, 4):

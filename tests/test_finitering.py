@@ -1,7 +1,9 @@
+import tracemalloc
 from math import gcd
 
 import pytest
 
+from bianchi_lefschetz import finitering
 from bianchi_lefschetz.eisenstein import cusp_count
 from bianchi_lefschetz.exactmath import ConformanceError, InputError
 from bianchi_lefschetz.finitering import (FiniteRing, cusp_count_bruteforce,
@@ -134,6 +136,28 @@ class TestSL2Order:
                 sl2_order(FiniteRing(f, N))  # raises on disagreement
 
 
+class TestSL2Guard:
+    def test_refused_before_allocating(self):
+        # 29 is inert in Q(sqrt(-2)): about 5.9e8 matrices, charged some 52 GB
+        ring = FiniteRing(F2, 29)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="SL2 listing"):
+                enumerate_sl2(ring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_charged_by_its_output(self, monkeypatch):
+        # the budget holds 1 GiB / 88 bytes, about 1.2e7 matrices
+        monkeypatch.setattr(finitering, "sl2_order_formula", lambda field, N: 2**30 // 88)
+        assert len(enumerate_sl2(FiniteRing(F7, 3))) == 720
+        monkeypatch.setattr(finitering, "sl2_order_formula", lambda field, N: 2**30 // 88 + 1)
+        with pytest.raises(InputError, match="SL2 listing"):
+            enumerate_sl2(FiniteRing(F7, 3))
+
+
 class TestProjectiveLine:
     def test_sizes(self):
         assert len(projective_line(FiniteRing(F7, 3))) == 10    # P1(F9)
@@ -228,6 +252,13 @@ class TestCuspCensus:
     def test_rejects_small_levels(self):
         with pytest.raises(InputError):
             cusp_count_bruteforce(F2, 2)
+
+    def test_census_does_not_read_the_sl2_order(self, monkeypatch):
+        # Above N = 9 sl2_order returns the closed formula, so a census of
+        # h * #SL2 / N^2 would follow a wrong formula; the column count does not.
+        want = cusp_count_bruteforce(F2, 11)
+        monkeypatch.setattr(finitering, "sl2_order_formula", lambda field, N: 7 * N**2)
+        assert cusp_count_bruteforce(F2, 11) == want == cusp_count(F2, 11)
 
 
 def test_cache_variable_is_ignored(tmp_path, monkeypatch):
@@ -332,10 +363,10 @@ class TestAgainstReferences:
         for n in range(2, 41):
             assert projective_line_zmod(n) == _projective_line_zmod_ref(n), n
 
-    @pytest.mark.parametrize("f,N", [(F7, 2), (F2, 3), (F5, 3), (F7, 4)])
+    @pytest.mark.parametrize("f,N", [(F7, 2), (F2, 3), (F5, 3), (F7, 4), (F11, 5)])
     def test_brute_sl2_filter(self, f, N):
-        # split levels N <= 4 are the only prime powers that take the
-        # brute branch; inert and ramified ones are local rings
+        # split prime powers are the ones that take the brute branch; inert
+        # and ramified ones are local rings
         ring = FiniteRing(f, N)
         assert _kind(f, N) == SPLIT
         assert enumerate_sl2(ring) == _enumerate_sl2_ref(ring)
