@@ -13,8 +13,8 @@ never silently mix the two regimes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .eisenstein import cusp_count, trace_h2_eis, trace_sigma_h1_eis
 from .exactmath import ConformanceError, InputError, euler_phi
@@ -25,8 +25,7 @@ from .quadfield import INERT, SIGMA, TAU, QuadField, make_field
 EXACT, WORST_CASE = "exact", "worst_case"
 
 
-@dataclass
-class BoundReport:
+class BoundReport(NamedTuple):
     d: int
     N: int
     k: int
@@ -36,10 +35,10 @@ class BoundReport:
     tr0: int
     tr2_eis: int
     bound: int
+    provenance: dict[str, str]
+    warnings: list[str]
     tr1_eis: int | None = None
     tr1_window: int | None = None          # |tr1| <= window in worst-case mode
-    provenance: dict[str, str] = dc_field(default_factory=dict)
-    warnings: list[str] = dc_field(default_factory=list)
 
 
 def cusp_lower_bound(field: QuadField, N: int, k: int,
@@ -107,8 +106,7 @@ def cusp_lower_bound(field: QuadField, N: int, k: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GL2Trace:
+class GL2Trace(NamedTuple):
     d: int
     k: int
     variant: str
@@ -149,8 +147,7 @@ def gl2_lower_bound(field: QuadField, k: int, variant: str = DEFAULT_BRACKET) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ScanReport:
+class ScanReport(NamedTuple):
     kind: str
     rows: list[dict]
     min_ratio: Fraction | None = None

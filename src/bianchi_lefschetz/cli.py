@@ -7,8 +7,9 @@ naming the formula behind each ingredient.  Formats: json (one record per
 line), csv (flat columns, warnings pipe-joined) and tex (tabular body
 rows only).
 
-Exit codes: 0 success, 1 input error, 2 hard conformance failure in
-`verify` (diagnostics alone never fail a run).
+Exit codes: 0 success, 1 input error, 2 hard conformance failure: a FAIL
+line of `verify` (diagnostics alone never fail a run) or a query whose
+internal check raised (`table` emits an error record for it instead).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .exactmath import ConformanceError, InputError
 from .lefschetz import (BRACKET_VARIANTS, DEFAULT_BRACKET, lefschetz_level_one,
                         lefschetz_sigma_principal, make_level)
 from .quadfield import QuadField, make_field
-from .verify import exit_code, run_suites
 
 
 class _Parser(argparse.ArgumentParser):
@@ -267,6 +267,8 @@ def _cmd_table(args) -> list[dict]:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import exit_code, run_suites  # the oracles load for verify only
+
     results = run_suites([args.suite])
     for res in results:
         for status, label in res.lines:
@@ -373,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ConformanceError as exc:
         print(f"conformance error: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 def entry() -> None:

@@ -27,10 +27,10 @@ import cmath
 import operator
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from typing import NamedTuple
 
 from .exactmath import ConformanceError, InputError, as_integer, factorize, require_bytes
 from .quadfield import (INERT, RAMIFIED, SIGMA, TAU, QuadField, norm_euler_product,
@@ -118,8 +118,7 @@ def trace_h2_eis(field: QuadField, N: int, k: int, involution: str) -> int:
     return val + (1 if k == 0 else 0)
 
 
-@dataclass(frozen=True)
-class LevelOneTraces:
+class LevelOneTraces(NamedTuple):
     """Traces of sigma on level-one Eisenstein cohomology in degrees 0/1/2.
 
     At weight zero all three are exact.  For k > 0 the degree-1 trace is
@@ -201,7 +200,6 @@ def _roots_of_unity(N: int) -> list[complex]:
     return [cmath.exp(complex(0.0, 2 * cmath.pi * k * step)) for k in range(N)]
 
 
-@dataclass
 class SczechOperator:
     """Conjugation action on the cocycle span, held as its pairing.
 
@@ -215,13 +213,10 @@ class SczechOperator:
     involution_defect() in O(N^2), neither holding more than O(N^2); the
     N^4 indices and the dense matrix exist only for the dump.
     """
-    field: QuadField
-    N: int
-    variant: str
-    gram: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        self.gram = tuple(tuple(int(a) for a in row) for row in self.gram)
+    def __init__(self, field: QuadField, N: int, variant: str, gram) -> None:
+        self.field, self.N, self.variant = field, N, variant
+        self.gram = tuple(tuple(int(a) for a in row) for row in gram)
 
     @cached_property
     def indices(self) -> list[tuple[int, int, int, int]]:
@@ -392,8 +387,7 @@ def sczech_operator(field: QuadField, N: int, variant: str = DEFAULT_VARIANT) ->
     return SczechOperator(field=field, N=N, variant=variant, gram=gram)
 
 
-@dataclass(frozen=True)
-class SczechTrace:
+class SczechTrace(NamedTuple):
     value: float       # real part of the matrix trace
     imag: float        # diagnostic; must be ~0
     expected: int      # -(N^2 + 1)

@@ -36,9 +36,9 @@ does work in proportion to what it must examine:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
+from typing import NamedTuple
 
 from .eisenstein import fixed_coset_formula
 from .exactmath import ConformanceError, InputError, as_integer, factorize, require_bytes
@@ -406,8 +406,7 @@ def fixed_coset_count(ring: FiniteRing, involution: str) -> int:
     return sum(1 for ma in fixed_a for mc in fixed_c if not ma & mc)
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     """Exhaustive census next to the closed-formula prediction.
 
     For tau the two numbers are allowed to disagree; the report carries a

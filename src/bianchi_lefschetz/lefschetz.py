@@ -19,9 +19,9 @@ Three formula families live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import prod
+from typing import NamedTuple
 
 from .exactmath import (ConformanceError, InputError, as_integer, factorize,
                         hilbert2, kronecker, legendre, sym_power_trace)
@@ -67,8 +67,7 @@ def bracket_factor(variant: str, modulus: int, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(NamedTuple):
     field: QuadField
     N: int
     factors: tuple[tuple[int, int, str], ...]  # (p, exponent, splitting)
@@ -191,8 +190,7 @@ def hilbert_at(field: QuadField, a: int, p: int) -> int:
     return hilbert2(a, field.d) if p == 2 else legendre(a, p)
 
 
-@dataclass(frozen=True)
-class LevelOneLefschetz:
+class LevelOneLefschetz(NamedTuple):
     d: int
     involution: str
     k: int
@@ -250,13 +248,13 @@ def lefschetz_level_one(field: QuadField, involution: str, k: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class VariantRecord:
-    variant: str
-    integrality_failures: list[tuple[int, str, int, str]] = dc_field(default_factory=list)
-    parity_failures_even: list[tuple[int, int]] = dc_field(default_factory=list)
-    parity_failures_odd: list[tuple[int, int]] = dc_field(default_factory=list)
-    anchor_failures: list[tuple[int, str, str]] = dc_field(default_factory=list)
+    def __init__(self, variant: str) -> None:
+        self.variant = variant
+        self.integrality_failures: list[tuple[int, str, int, str]] = []
+        self.parity_failures_even: list[tuple[int, int]] = []
+        self.parity_failures_odd: list[tuple[int, int]] = []
+        self.anchor_failures: list[tuple[int, str, str]] = []
 
     @property
     def even_ok(self) -> bool:
@@ -271,8 +269,7 @@ class VariantRecord:
             and not self.integrality_failures
 
 
-@dataclass
-class AdjudicationReport:
+class AdjudicationReport(NamedTuple):
     k_max: int
     d_values: tuple[int, ...]
     records: dict[str, VariantRecord]

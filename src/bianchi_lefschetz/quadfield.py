@@ -13,14 +13,13 @@ omega^2 = T*omega - Nm with T = trace(omega), Nm = norm(omega).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactmath import InputError, factorize, is_prime, kronecker
 
 
-@dataclass(frozen=True)
-class QuadField:
+class QuadField(NamedTuple):
     d: int                          # square-free, negative, not -1 or -3
     D: int                          # field discriminant: d or 4d
     ramified_primes: tuple[int, ...]

@@ -10,7 +10,6 @@ non-involutive character variants) without failing the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import oracles
@@ -34,10 +33,10 @@ SUITES = ("symbols", "classgroup", "cusps", "fixedpoints", "sczech",
 PASS, FAIL, DIAG = "PASS", "FAIL", "DIAG"
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    lines: list[tuple[str, str]] = dc_field(default_factory=list)
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.lines: list[tuple[str, str]] = []
 
     def check(self, ok: bool, label: str) -> None:
         self.lines.append((PASS if ok else FAIL, label))

@@ -2,7 +2,7 @@ import csv
 import io
 import json
 
-from bianchi_lefschetz import finitering, verify
+from bianchi_lefschetz import bounds, finitering, verify
 from bianchi_lefschetz.cli import argv_of_record, emit, main
 from bianchi_lefschetz.exactmath import ConformanceError
 
@@ -64,6 +64,22 @@ class TestBoundCommand:
         csv_map = dict(zip(header.split(","), row.split(",")))
         for key, val in rec["result"].items():
             assert csv_map[f"result.{key}"] == val
+
+    def test_raising_internal_check_exits_2(self, capsys, monkeypatch):
+        # a degree-1 trace off by one makes the exact-mode sum odd, which
+        # cusp_lower_bound refuses to halve
+        monkeypatch.setattr(bounds, "trace_sigma_h1_eis", lambda field, p, n: -(p * p))
+        code, out, err = run_cli(capsys, "bound", "--d", "-2", "--N", "5", "--k", "0")
+        assert code == 2
+        assert not out
+        assert err.startswith("conformance error: exact-mode sum")
+        # table keeps the failed grid point as an error record
+        code, out, err = run_cli(capsys, "table", "--d-list", "-2", "--N-list", "5",
+                                 "--k-list", "0")
+        assert code == 0 and not err
+        (rec,) = records_of(out)
+        assert rec["result"]["kind"] == "error"
+        assert rec["result"]["message"].startswith("exact-mode sum")
 
 
 class TestLefschetzCommands:
