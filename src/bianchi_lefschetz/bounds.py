@@ -42,8 +42,7 @@ class BoundReport(NamedTuple):
 
 
 def cusp_lower_bound(field: QuadField, N: int, k: int,
-                     involution: str = SIGMA,
-                     force_worst_case: bool = False) -> BoundReport:
+                     involution: str = SIGMA) -> BoundReport:
     """Lower bound for dim H^1_cusp(Gamma(N), E_{k,k}) under the involution.
 
     Exact mode needs k = 0, class number one, N = p^n with p inert and the
@@ -77,9 +76,7 @@ def cusp_lower_bound(field: QuadField, N: int, k: int,
     prov["tr0"] = ("trivial action on degree 0 of a connected space" if k == 0
                    else "zero on degree 0 (irreducible nontrivial coefficients)")
 
-    exact_ok = (not force_worst_case and k == 0 and field.h == 1
-                and len(level.factors) == 1 and spl == INERT)
-    if exact_ok:
+    if k == 0 and field.h == 1 and len(level.factors) == 1 and spl == INERT:
         tr1 = trace_sigma_h1_eis(field, p, n)
         prov["tr1_eis"] = "degree-1 Eisenstein trace via the cocycle span " \
                           "(inert prime power, class number one)"

@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from itertools import product
 
-from .bounds import BoundReport, cusp_lower_bound, gl2_trace_sigma1
+from .bounds import cusp_lower_bound, gl2_trace_sigma1
 from .eisenstein import (CHARACTER_VARIANTS, DEFAULT_VARIANT, sczech_operator,
                          trace_h2_eis, trace_sigma_h1_eis, write_matrix_dump)
 from .exactmath import ConformanceError, InputError
@@ -47,27 +47,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _field_block(field: QuadField) -> dict:
-    return {
-        "d": str(field.d),
-        "D": str(field.D),
-        "h": str(field.h),
-        "t": str(field.t),
-        "D2": str(field.D2),
-        "ramified_primes": [str(p) for p in field.ramified_primes],
-    }
-
-
-def _record(query: dict, result: dict, field: QuadField | None = None,
+def _record(query: dict, field: QuadField | None, result: dict,
             warnings: list[str] | None = None, provenance: dict | None = None) -> dict:
-    rec = {
-        "query": query,
-        "result": result,
-        "warnings": warnings or [],
-        "provenance": provenance or {},
-    }
+    rec = {"query": query, "result": result, "warnings": warnings or [],
+           "provenance": provenance or {}}
     if field is not None:
-        rec["field"] = _field_block(field)
+        rec["field"] = {"d": str(field.d), "D": str(field.D), "h": str(field.h),
+                        "t": str(field.t), "D2": str(field.D2),
+                        "ramified_primes": [str(p) for p in field.ramified_primes]}
     return rec
 
 
@@ -134,35 +121,18 @@ def argv_of_record(rec: dict) -> list[str]:
     return argv
 
 
-def _bound_record(d: int, N: int, k: int, involution: str, query: dict) -> dict:
-    field = make_field(d)
-    rep: BoundReport = cusp_lower_bound(field, N, k, involution)
-    result = {
-        "kind": "cusp_lower_bound",
-        "bound": _fmt(rep.bound),
-        "mode": rep.mode,
-        "L": _fmt(rep.L),
-        "tr0": _fmt(rep.tr0),
-        "tr2_eis": _fmt(rep.tr2_eis),
-    }
-    if rep.tr1_eis is not None:
-        result["tr1_eis"] = _fmt(rep.tr1_eis)
-    if rep.tr1_window is not None:
-        result["tr1_window"] = _fmt(rep.tr1_window)
-    return _record(query, result, field, rep.warnings, rep.provenance)
+# Each query handler takes the parsed arguments and the field of --d and
+# returns (result, warnings, provenance); main builds the one record.
 
 
-def _cmd_field(args) -> list[dict]:
-    field = make_field(args.d)
+def _cmd_field(args, field):
     omega = ("omega^2 = omega + (d-1)/4" if field.d % 4 == 1 else "omega^2 = d")
-    result = {"kind": "field-invariants", "omega_rule": omega}
-    return [_record(_query(args), result, field,
-                    provenance={"h": "reduced binary quadratic form enumeration",
-                                "D": "standard discriminant of a quadratic field"})]
+    return ({"kind": "field-invariants", "omega_rule": omega}, [],
+            {"h": "reduced binary quadratic form enumeration",
+             "D": "standard discriminant of a quadratic field"})
 
 
-def _cmd_lefschetz_principal(args) -> list[dict]:
-    field = make_field(args.d)
+def _cmd_lefschetz_principal(args, field):
     level = make_level(field, args.N)
     L = lefschetz_sigma_principal(field, level, args.k)
     warnings = []
@@ -173,12 +143,10 @@ def _cmd_lefschetz_principal(args) -> list[dict]:
     result = {"kind": "lefschetz_principal", "L": _fmt(L),
               "A": _fmt(level.A), "B": _fmt(level.B),
               "A_plus_2B": _fmt(level.a_plus_2b)}
-    return [_record(_query(args), result, field, warnings,
-                    {"L": "principal-level Lefschetz number (surface-count table)"})]
+    return result, warnings, {"L": "principal-level Lefschetz number (surface-count table)"}
 
 
-def _cmd_lefschetz_level_one(args) -> list[dict]:
-    field = make_field(args.d)
+def _cmd_lefschetz_level_one(args, field):
     res = lefschetz_level_one(field, args.involution, args.k, args.bracket)
     warnings = []
     if not res.integral:
@@ -187,55 +155,49 @@ def _cmd_lefschetz_level_one(args) -> list[dict]:
         warnings.append("odd weight: bracket reading unadjudicated")
     result = {"kind": "lefschetz_level_one", "L": _fmt(res.value),
               "integral": _fmt(res.integral)}
-    return [_record(_query(args), result, field, warnings,
-                    {"L": "level-one four-term Lefschetz formula"})]
+    return result, warnings, {"L": "level-one four-term Lefschetz formula"}
 
 
-def _cmd_eisenstein_h2(args) -> list[dict]:
-    field = make_field(args.d)
+def _cmd_eisenstein_h2(args, field):
     val = trace_h2_eis(field, args.N, args.k, args.involution)
     warnings = []
     if args.involution == "tau":
         warnings.append("closed formula; the exhaustive coset census can disagree "
                         "(see verify fixedpoints)")
-    result = {"kind": "eisenstein_h2_trace", "trace": _fmt(val)}
-    return [_record(_query(args), result, field, warnings,
-                    {"trace": "degree-2 Eisenstein trace (unramified level)"})]
+    return ({"kind": "eisenstein_h2_trace", "trace": _fmt(val)}, warnings,
+            {"trace": "degree-2 Eisenstein trace (unramified level)"})
 
 
-def _cmd_eisenstein_h1(args) -> list[dict]:
-    field = make_field(args.d)
+def _cmd_eisenstein_h1(args, field):
     val = trace_sigma_h1_eis(field, args.p, args.n)
-    result = {"kind": "eisenstein_h1_trace", "trace": _fmt(val)}
-    return [_record(_query(args), result, field, provenance={
-        "trace": "degree-1 Eisenstein trace via the cocycle span "
-                 "(inert prime power, class number one)"})]
+    return ({"kind": "eisenstein_h1_trace", "trace": _fmt(val)}, [],
+            {"trace": "degree-1 Eisenstein trace via the cocycle span "
+                      "(inert prime power, class number one)"})
 
 
-def _cmd_sczech(args) -> list[dict]:
-    field = make_field(args.d)
+def _cmd_sczech(args, field):
     op = sczech_operator(field, args.N, args.variant)
     tr = op.trace()
     if args.emit_matrix:
         write_matrix_dump(op, args.emit_matrix)
-    result = {
-        "kind": "sczech_trace",
-        "trace_re": _fmt(tr.real),
-        "trace_im": _fmt(tr.imag),
-        "expected": _fmt(-(args.N**2 + 1)),
-        "involution_defect": _fmt(op.involution_defect()),
-        "size": _fmt(args.N**4 - 1),
-    }
-    return [_record(_query(args), result, field, provenance={
-        "trace_re": "conjugation operator on the span of Sczech cocycles"})]
+    result = {"kind": "sczech_trace", "trace_re": _fmt(tr.real), "trace_im": _fmt(tr.imag),
+              "expected": _fmt(-(args.N**2 + 1)),
+              "involution_defect": _fmt(op.involution_defect()), "size": _fmt(args.N**4 - 1)}
+    return result, [], {"trace_re": "conjugation operator on the span of Sczech cocycles"}
 
 
-def _cmd_bound(args) -> list[dict]:
-    return [_bound_record(args.d, args.N, args.k, args.involution, _query(args))]
+def _cmd_bound(args, field):
+    rep = cusp_lower_bound(field, args.N, args.k, args.involution)
+    result = {"kind": "cusp_lower_bound", "bound": _fmt(rep.bound), "mode": rep.mode,
+              "L": _fmt(rep.L), "tr0": _fmt(rep.tr0), "tr2_eis": _fmt(rep.tr2_eis)}
+    if rep.tr1_eis is not None:
+        result["tr1_eis"] = _fmt(rep.tr1_eis)
+    if rep.tr1_window is not None:
+        result["tr1_window"] = _fmt(rep.tr1_window)
+    return result, rep.warnings, rep.provenance
 
 
-def _cmd_gl2(args) -> list[dict]:
-    field = make_field(args.d)
+def _cmd_gl2(args, field):
     tr = gl2_trace_sigma1(field, args.k, args.bracket)
     warnings = []
     result = {"kind": "gl2_trace", "trace": _fmt(tr.value),
@@ -246,22 +208,26 @@ def _cmd_gl2(args) -> list[dict]:
         warnings.append("non-integral GL2 trace: bracket adjudication failure")
     if tr.unadjudicated:
         warnings.append("odd weight: bracket reading unadjudicated")
-    return [_record(_query(args), result, field, warnings,
-                    {"trace": "GL2 degree-1 trace from the two level-one "
-                              "Lefschetz numbers"})]
+    return result, warnings, {"trace": "GL2 degree-1 trace from the two level-one "
+                                       "Lefschetz numbers"}
 
 
 def _cmd_table(args) -> list[dict]:
+    """One `bound` record per grid point, σ only; a point whose input or
+    internal check fails becomes an error record and the grid goes on."""
     records = []
     query = {**_query(args), "format": args.format}
     for d, N, k in product(args.d_list, args.N_list, args.k_list):
         try:
-            rec = _bound_record(d, N, k, "sigma", query)
+            field = make_field(d)
+            result, warnings, provenance = _cmd_bound(
+                argparse.Namespace(N=N, k=k, involution="sigma"), field)
         except (InputError, ConformanceError) as exc:
-            rec = _record(query, {"kind": "error", "d": str(d), "N": str(N),
-                                  "k": str(k), "message": str(exc)})
+            rec = _record(query, None, {"kind": "error", "d": str(d), "N": str(N),
+                                        "k": str(k), "message": str(exc)})
         else:
-            rec["result"].update(d=str(d), N=str(N), k=str(k))
+            result.update(d=str(d), N=str(N), k=str(k))
+            rec = _record(query, field, result, warnings, provenance)
         records.append(rec)
     return records
 
@@ -280,84 +246,63 @@ def _cmd_verify(args) -> int:
     return code
 
 
+_INT = {"type": int, "required": True}
+_INTS = {"type": int, "nargs": "+", "required": True}
+# Every leaf option, by flag name; "sigma" is the σ-only --involution.
+_OPTIONS = {
+    "d": _INT, "N": _INT, "k": _INT, "p": _INT, "n": _INT,
+    "involution": {"choices": ("sigma", "tau"), "required": True},
+    "sigma": {"choices": ("sigma",), "default": "sigma"},
+    "bracket": {"choices": BRACKET_VARIANTS, "default": DEFAULT_BRACKET},
+    "variant": {"choices": CHARACTER_VARIANTS, "default": DEFAULT_VARIANT},
+    "emit-matrix": {"metavar": "PATH"},
+    "d-list": _INTS, "N-list": _INTS, "k-list": _INTS,
+}
+# A leaf: its command words, its handler and its options in query-echo
+# order; each also takes --format.
+_LEAVES = (
+    ("field", _cmd_field, ("d",)),
+    ("lefschetz principal", _cmd_lefschetz_principal, ("d", "N", "k", "sigma")),
+    ("lefschetz level-one", _cmd_lefschetz_level_one, ("d", "k", "involution", "bracket")),
+    ("eisenstein h2", _cmd_eisenstein_h2, ("d", "N", "k", "involution")),
+    ("eisenstein h1", _cmd_eisenstein_h1, ("d", "p", "n")),
+    ("sczech", _cmd_sczech, ("d", "N", "variant", "emit-matrix")),
+    ("bound", _cmd_bound, ("d", "N", "k", "sigma")),
+    ("gl2", _cmd_gl2, ("d", "k", "bracket")),
+    ("table", _cmd_table, ("d-list", "N-list", "k-list")),
+)
+_HELP = {
+    "field": "field invariants",
+    "lefschetz": "Lefschetz numbers",
+    "eisenstein": "Eisenstein traces",
+    "sczech": "conjugation operator on the cocycle span",
+    "bound": "cuspidal lower bound",
+    "gl2": "GL2 degree-1 trace and bound",
+    "table": "bound table over a grid",
+    "verify": "run oracle verification suites",
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="bianchi-lefschetz", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_fmt(p):
+    groups = {}
+    for words, func, options in _LEAVES:
+        top, *leaf = words.split()
+        if not leaf:
+            p = sub.add_parser(top, help=_HELP[top])
+        else:
+            if top not in groups:
+                groups[top] = sub.add_parser(top, help=_HELP[top]).add_subparsers(
+                    dest="subcommand", required=True)
+            p = groups[top].add_parser(leaf[0])
+        for name in options:
+            p.add_argument("--involution" if name == "sigma" else f"--{name}",
+                           **_OPTIONS[name])
         p.add_argument("--format", choices=("json", "csv", "tex"), default="json")
-
-    p = sub.add_parser("field", help="field invariants")
-    p.add_argument("--d", type=int, required=True)
-    add_fmt(p)
-    p.set_defaults(func=_cmd_field)
-
-    lef = sub.add_parser("lefschetz", help="Lefschetz numbers")
-    lef_sub = lef.add_subparsers(dest="subcommand", required=True)
-    p = lef_sub.add_parser("principal")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--involution", choices=("sigma",), default="sigma")
-    add_fmt(p)
-    p.set_defaults(func=_cmd_lefschetz_principal)
-    p = lef_sub.add_parser("level-one")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--involution", choices=("sigma", "tau"), required=True)
-    p.add_argument("--bracket", choices=BRACKET_VARIANTS, default=DEFAULT_BRACKET)
-    add_fmt(p)
-    p.set_defaults(func=_cmd_lefschetz_level_one)
-
-    eis = sub.add_parser("eisenstein", help="Eisenstein traces")
-    eis_sub = eis.add_subparsers(dest="subcommand", required=True)
-    p = eis_sub.add_parser("h2")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--involution", choices=("sigma", "tau"), required=True)
-    add_fmt(p)
-    p.set_defaults(func=_cmd_eisenstein_h2)
-    p = eis_sub.add_parser("h1")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    add_fmt(p)
-    p.set_defaults(func=_cmd_eisenstein_h1)
-
-    p = sub.add_parser("sczech", help="conjugation operator on the cocycle span")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--variant", choices=CHARACTER_VARIANTS, default=DEFAULT_VARIANT)
-    p.add_argument("--emit-matrix", dest="emit_matrix", metavar="PATH")
-    add_fmt(p)
-    p.set_defaults(func=_cmd_sczech)
-
-    p = sub.add_parser("bound", help="cuspidal lower bound")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--involution", choices=("sigma",), default="sigma")
-    add_fmt(p)
-    p.set_defaults(func=_cmd_bound)
-
-    p = sub.add_parser("gl2", help="GL2 degree-1 trace and bound")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--bracket", choices=BRACKET_VARIANTS, default=DEFAULT_BRACKET)
-    add_fmt(p)
-    p.set_defaults(func=_cmd_gl2)
-
-    p = sub.add_parser("table", help="bound table over a grid")
-    p.add_argument("--d-list", dest="d_list", type=int, nargs="+", required=True)
-    p.add_argument("--N-list", dest="N_list", type=int, nargs="+", required=True)
-    p.add_argument("--k-list", dest="k_list", type=int, nargs="+", required=True)
-    add_fmt(p)
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("verify", help="run oracle verification suites")
-    p.add_argument("suite", nargs="?", default="all")
-
+        p.set_defaults(func=func)
+    sub.add_parser("verify", help=_HELP["verify"]).add_argument(
+        "suite", nargs="?", default="all")
     return parser
 
 
@@ -367,7 +312,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command == "verify":
             return _cmd_verify(args)
-        records = args.func(args)
+        if args.command == "table":   # a grid: one field and one record per point
+            records = args.func(args)
+        else:
+            field = make_field(args.d)
+            records = [_record(_query(args), field, *args.func(args, field))]
         emit(records, args.format)
         return 0
     except InputError as exc:

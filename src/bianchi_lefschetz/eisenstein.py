@@ -408,7 +408,8 @@ def write_matrix_dump(op: SczechOperator, path: str) -> None:
     string "j re im" of every column j and value is made once, and row i is
     written as "i " joined with the strings its exponents pick.  The file,
     (N^4 - 1)^2 lines of at most the longest such line, must fit the
-    budget; a larger dump is refused before the file is opened.
+    budget; a larger dump is refused before the file is opened.  A path
+    that cannot be opened or written is an input error.
     """
     values = [f"{z.real:.17g} {z.imag:.17g}\n" for z in op._entry_values()]
     size = op.N**4 - 1
@@ -416,7 +417,11 @@ def write_matrix_dump(op: SczechOperator, path: str) -> None:
     require_bytes(size * size * line, f"the {size} x {size} matrix dump file "
                    f"(at most {line} bytes a line)")
     columns = [[f"{j} {v}" for v in values] for j in range(size)]
-    with open(path, "w") as fh:
-        for i, row in enumerate(op._exponent_rows()):
-            pre = f"{i} "
-            fh.write(pre + pre.join([col[k] for col, k in zip(columns, row)]))
+    try:
+        with open(path, "w") as fh:
+            for i, row in enumerate(op._exponent_rows()):
+                pre = f"{i} "
+                fh.write(pre + pre.join([col[k] for col, k in zip(columns, row)]))
+    except OSError as exc:
+        raise InputError(f"cannot write the matrix dump to {path}: "
+                         f"{exc.strerror or exc}") from exc

@@ -367,14 +367,6 @@ def projective_line(ring: FiniteRing) -> list[tuple[Elem, Elem]]:
     return [(els[x], els[y]) for x, y in _orbit_minima(masks, scale)]
 
 
-def projective_line_zmod(n: int) -> list[tuple[int, int]]:
-    """P^1(Z/n): the least unimodular pair of each unit orbit, sorted."""
-    primes = [p for p, _ in factorize(n)]
-    masks = bytes(sum(1 << i for i, p in enumerate(primes) if x % p == 0) for x in range(n))
-    return _orbit_minima(masks, [[u * x % n for x in range(n)]
-                                 for u in range(n) if not masks[u]])
-
-
 def fixed_coset_count(ring: FiniteRing, involution: str) -> int:
     """Unipotent cosets of SL2(R) at infinity fixed by the involution.
 

@@ -23,8 +23,8 @@ from fractions import Fraction
 from math import prod
 from typing import NamedTuple
 
-from .exactmath import (ConformanceError, InputError, as_integer, factorize,
-                        hilbert2, kronecker, legendre, sym_power_trace)
+from .exactmath import (InputError, as_integer, factorize, hilbert2,
+                        kronecker, legendre, sym_power_trace)
 from .quadfield import RAMIFIED, SIGMA, TAU, QuadField, splitting_type, two_torsion_count
 
 RATIONAL = "rational"
@@ -155,25 +155,6 @@ def lefschetz_sigma_prime_power(field: QuadField, p: int, n: int, k: int) -> int
     e = field.t - 1 if field.d % 4 == 1 else field.t
     val = -(2**e) * Fraction(p ** (3 * n) - p ** (3 * n - 2), 12) * (k + 1)
     return as_integer(val, f"L(sigma, Gamma({p}^{n}), k={k})")
-
-
-def classical_gamma_invariants(N: int) -> tuple[int, Fraction, Fraction]:
-    """Cusp count and Euler characteristics of the classical level-N curve.
-
-    Returns (cusps, chi of the compactified surface, chi of the group):
-    cusps = N^2/2 * prod(1 - p^-2), chi_X = -N^2 (N-6)/12 * prod(...),
-    chi_Gamma = -N^3/12 * prod(...); the identity
-    chi_Gamma = chi_X - cusps holds on the nose.
-    """
-    if N < 3:
-        raise InputError(f"classical invariants need N >= 3, got {N}")
-    prod_sq = prod((1 - Fraction(1, p * p) for p, _ in factorize(N)), start=Fraction(1))
-    cusps = as_integer(Fraction(N * N, 2) * prod_sq, "cusp count")
-    chi_x = Fraction(-1, 12) * N * N * (N - 6) * prod_sq
-    chi_gamma = Fraction(-1, 12) * N**3 * prod_sq
-    if chi_gamma != chi_x - cusps:
-        raise ConformanceError("chi(Gamma_N) != chi(X_N) - cusps")
-    return cusps, chi_x, chi_gamma
 
 
 # ---------------------------------------------------------------------------

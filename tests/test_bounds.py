@@ -5,6 +5,7 @@ import pytest
 from bianchi_lefschetz.bounds import (cusp_lower_bound, gl2_lower_bound,
                                       gl2_trace_sigma1, scan_discriminants,
                                       scan_prime_tower, scan_weights)
+from bianchi_lefschetz.eisenstein import cusp_count
 from bianchi_lefschetz.exactmath import ConformanceError, InputError
 from bianchi_lefschetz.lefschetz import RATIONAL
 from bianchi_lefschetz.quadfield import make_field
@@ -36,9 +37,11 @@ class TestCuspLowerBound:
     def test_exact_dominates_worst_case(self):
         for N in (5, 25):
             exact = cusp_lower_bound(F2, N, 0)
-            worst = cusp_lower_bound(F2, N, 0, force_worst_case=True)
-            assert worst.mode == "worst_case"
-            assert exact.bound >= worst.bound
+            assert exact.mode == "exact"
+            # the window bound the same ingredients would give without tr1
+            c = cusp_count(F2, N)
+            worst = max(0, (abs(exact.L - exact.tr2_eis - exact.tr0) - c + 1) // 2)
+            assert exact.bound >= worst
 
     def test_split_prime_falls_back_to_worst_case(self):
         rep = cusp_lower_bound(F2, 3, 0)   # 3 splits in Q(sqrt(-2))

@@ -2,9 +2,10 @@ import csv
 import io
 import json
 
-from bianchi_lefschetz import bounds, finitering, verify
+from bianchi_lefschetz import bounds, cli, finitering, verify
 from bianchi_lefschetz.cli import argv_of_record, emit, main
 from bianchi_lefschetz.exactmath import ConformanceError
+from test_numpy_free import COMMANDS
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +158,15 @@ class TestSczechCommand:
         assert len(rows) == 225
         assert all(len(r.split()) == 4 for r in rows)
 
+    def test_unwritable_matrix_path_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "op.txt"
+        code, out, err = run_cli(capsys, "sczech", "--d", "-2", "--N", "2",
+                                 "--emit-matrix", str(path))
+        assert code == 1
+        assert not out
+        assert err.startswith("error:") and str(path) in err
+        assert "Traceback" not in err
+
 
 class TestGL2Command:
     def test_record(self, capsys):
@@ -274,3 +284,17 @@ def test_exit_code_aggregation_flags_hard_failures():
     bad.check(False, "broken")
     assert exit_code([good]) == 0
     assert exit_code([good, bad]) == 2
+
+
+def test_each_query_builds_its_field_once(monkeypatch, capsys, tmp_path):
+    calls = []
+    make_field = cli.make_field
+    monkeypatch.setattr(cli, "make_field", lambda d: calls.append(d) or make_field(d))
+    for argv in COMMANDS:
+        if argv[0] in ("table", "verify"):
+            continue
+        calls.clear()
+        code, _, err = run_cli(capsys, *[str(tmp_path / "op.txt") if a == "MATRIX" else a
+                                         for a in argv])
+        assert code == 0, err
+        assert calls == [int(argv[argv.index("--d") + 1])], argv

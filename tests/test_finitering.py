@@ -1,5 +1,4 @@
 import tracemalloc
-from math import gcd
 
 import pytest
 
@@ -9,8 +8,7 @@ from bianchi_lefschetz.exactmath import ConformanceError, InputError
 from bianchi_lefschetz.finitering import (FiniteRing, cusp_count_bruteforce,
                                           enumerate_sl2, fixed_coset_count,
                                           fixed_coset_report, mat_det, mat_identity,
-                                          mat_mul, projective_line,
-                                          projective_line_zmod, sigma_mat,
+                                          mat_mul, projective_line, sigma_mat,
                                           sl2_order, sl2_order_formula, tau_mat)
 from bianchi_lefschetz.oracles import is_unimodular_pair_oracle
 from bianchi_lefschetz.quadfield import (INERT, RAMIFIED, SPLIT, make_field,
@@ -161,7 +159,6 @@ class TestSL2Guard:
 class TestProjectiveLine:
     def test_sizes(self):
         assert len(projective_line(FiniteRing(F7, 3))) == 10    # P1(F9)
-        assert len(projective_line_zmod(3)) == 4
         assert len(projective_line(FiniteRing(F7, 9))) == 90    # 81 + 9
 
     def test_norm_formula_inert(self):
@@ -303,12 +300,6 @@ def _projective_line_ref(ring):
     return sorted(((e[0], e[1]), (e[2], e[3])) for e in reps)
 
 
-def _projective_line_zmod_ref(n):
-    units = [u for u in range(n) if gcd(u, n) == 1]
-    return sorted({min(((u * x) % n, (u * y) % n) for u in units)
-                   for x in range(n) for y in range(n) if gcd(gcd(x, y), n) == 1})
-
-
 def _enumerate_sl2_ref(ring):
     els = ring.elements()
     return [(a, b, c, d) for a in els for b in els for c in els for d in els
@@ -358,10 +349,6 @@ class TestAgainstReferences:
 
     def test_levels_cover_every_splitting(self):
         assert {_kind(f, N) for f, N in P1_LEVELS} == {SPLIT, INERT, RAMIFIED}
-
-    def test_projective_line_zmod(self):
-        for n in range(2, 41):
-            assert projective_line_zmod(n) == _projective_line_zmod_ref(n), n
 
     @pytest.mark.parametrize("f,N", [(F7, 2), (F2, 3), (F5, 3), (F7, 4), (F11, 5)])
     def test_brute_sl2_filter(self, f, N):

@@ -6,7 +6,7 @@ from bianchi_lefschetz.exactmath import InputError, is_prime
 from bianchi_lefschetz.lefschetz import (BRACKET_VARIANTS, DEFAULT_BRACKET,
                                          KRONECKER, RATIONAL, S_LITERAL,
                                          TORSION_CHAR, adjudicate_brackets,
-                                         bracket_factor, classical_gamma_invariants,
+                                         bracket_factor,
                                          lefschetz_level_one,
                                          lefschetz_sigma_prime_power,
                                          lefschetz_sigma_principal, make_level)
@@ -154,19 +154,3 @@ class TestAdjudication:
         report = adjudicate_brackets(list(GRID), 24)
         odd = report.records[TORSION_CHAR].parity_failures_odd
         assert sorted(odd) == [(d, k) for d in (-11, -7, -2) for k in range(1, 24, 2)]
-
-
-class TestClassicalInvariants:
-    def test_frozen_values(self):
-        assert classical_gamma_invariants(3) == (4, 2, -2)
-        assert classical_gamma_invariants(5) == (12, 2, -10)
-        assert classical_gamma_invariants(7) == (24, -4, -28)
-
-    def test_euler_identity_up_to_60(self):
-        for N in range(3, 61):
-            cusps, chi_x, chi_gamma = classical_gamma_invariants(N)
-            assert chi_gamma == chi_x - cusps
-
-    def test_rejects_small_levels(self):
-        with pytest.raises(InputError):
-            classical_gamma_invariants(2)
