@@ -1,32 +1,26 @@
 """
-Cuspidal lower bounds and growth scans
-======================================
+Cuspidal lower bounds
+=====================
 
 The assembly: a Lefschetz number, the three boundary traces, and the
 halved absolute value.  Exact mode (class number one, inert prime power,
 weight zero) pins every ingredient; elsewhere the unknown degree-1 trace
-is replaced by the worst-case window [-c, c].
+is replaced by the worst-case window [-c, c].  The tower is set against
+the volume scale 5^(3n), and the weight growth of L and the GL2 traces
+come from the same functions the CLI calls.
 """
 
-from bianchi_lefschetz.bounds import (cusp_lower_bound, gl2_lower_bound,
-                                      gl2_trace_sigma1, scan_discriminants,
-                                      scan_prime_tower, scan_weights)
+from bianchi_lefschetz.bounds import cusp_lower_bound, gl2_trace_sigma1
+from bianchi_lefschetz.lefschetz import lefschetz_sigma_principal
 from bianchi_lefschetz.quadfield import make_field
 
 f2 = make_field(-2)
 
-print("exact tower at d = -2, p = 5, weight 0:")
+print("exact tower at d = -2, p = 5, weight 0, against the volume scale 5^(3n):")
 for n in (1, 2, 3):
     rep = cusp_lower_bound(f2, 5**n, 0)
-    print(f"  N = 5^{n}: L = {rep.L:>8}, tr1 = {rep.tr1_eis:>7}, "
-          f"tr2 = {rep.tr2_eis:>7}, tr0 = {rep.tr0} -> bound {rep.bound}")
-
-print("\nthe same tower against the volume scale p^(3n):")
-tower = scan_prime_tower(f2, 5, [1, 2, 3])
-for row in tower.rows:
-    print(f"  n = {row['n']}: bound {row['bound']:>7} / 5^{3 * row['n']} "
-          f"= {float(row['ratio']):.6f}")
-print(f"  stays above a positive floor: {tower.floor_ok}")
+    print(f"  N = 5^{n}: L = {rep.L:>8}, tr1 = {rep.tr1_eis:>7}, tr2 = {rep.tr2_eis:>7}, "
+          f"tr0 = {rep.tr0} -> bound {rep.bound:>6} = {rep.bound / 5 ** (3 * n):.6f} * 5^{3 * n}")
 
 print("\nworst-case mode when no exact degree-1 trace exists:")
 for d, N, k in ((-7, 3, 2), (-2, 3, 0), (-7, 3, 0)):
@@ -34,26 +28,16 @@ for d, N, k in ((-7, 3, 2), (-2, 3, 0), (-7, 3, 0)):
     window = f"|tr1| <= {rep.tr1_window}" if rep.tr1_window else f"tr1 = {rep.tr1_eis}"
     print(f"  d={d:>4} N={N} k={k}: mode {rep.mode:>10}, {window}, bound {rep.bound}")
 
-print("\nweight growth is linear: L(sigma, Gamma(3))/(k+1) at d = -7:")
-weights = scan_weights(make_field(-7), 3, list(range(0, 21, 4)))
-print("  " + ", ".join(f"k={row['k']}: {row['L']}" for row in weights.rows)
-      + f"  (constant ratio {weights.rows[0]['per_weight']})")
+print("\nweight growth is linear: L(sigma, Gamma(3)) = (k+1) * L(k=0) at d = -7:")
+f7 = make_field(-7)
+print("  " + ", ".join(f"k={k}: {lefschetz_sigma_principal(f7, 3, k)}" for k in range(0, 21, 4)))
 
-print("\nGL2 trace bound across weights at d = -2 (nonzero from k = 24):")
-for k in range(0, 49, 8):
-    print(f"  k = {k:>2}: bound {gl2_lower_bound(f2, k)}")
-
-print("\ndiscriminant scan at weight 0 (bound vs Euler phi of |D|):")
-scan = scan_discriminants(k=0, d_floor=-60)
-hits = [row for row in scan.rows if row.get("bound")]
-for row in hits:
-    print(f"  d = {row['d']:>4}: GL2 bound {row['bound']}, phi(|D|) = {row['phi_D']}, "
-          f"ratio {float(row['ratio']):.4f}")
-print(f"  fields scanned: {len(scan.rows)}, nonzero bounds: {len(hits)}, "
-      f"minimum ratio: {scan.min_ratio}")
+traces = {k: gl2_trace_sigma1(f2, k).value for k in range(0, 25, 2)}
+first = min(k for k, value in traces.items() if value)
+print(f"\ntrace of sigma on GL2 cohomology at d = -2, even weights (nonzero from k = {first}):")
+print("  " + ", ".join(f"k={k}: {value}" for k, value in traces.items()))
 
 print("\nper-ingredient provenance travels with every report:")
 rep = cusp_lower_bound(f2, 25, 0)
 for key, src in sorted(rep.provenance.items()):
     print(f"  {key}: {src}")
-print(f"trace of sigma on GL2 cohomology at weight 0: {gl2_trace_sigma1(f2, 0).value}")

@@ -1,4 +1,4 @@
-"""Assembly of cuspidal lower bounds and asymptotic scans.
+"""Assembly of cuspidal lower bounds and the GL2 trace.
 
 The core inequality is
 
@@ -17,10 +17,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .eisenstein import cusp_count, trace_h2_eis, trace_sigma_h1_eis
-from .exactmath import ConformanceError, InputError, euler_phi
+from .exactmath import ConformanceError, InputError
 from .lefschetz import (DEFAULT_BRACKET, lefschetz_level_one, lefschetz_sigma_principal,
                         make_level)
-from .quadfield import INERT, SIGMA, TAU, QuadField, make_field
+from .quadfield import INERT, SIGMA, TAU, QuadField
 
 EXACT, WORST_CASE = "exact", "worst_case"
 
@@ -99,7 +99,7 @@ def cusp_lower_bound(field: QuadField, N: int, k: int,
 
 
 # ---------------------------------------------------------------------------
-# GL2 trace and bound
+# GL2 trace
 # ---------------------------------------------------------------------------
 
 
@@ -119,6 +119,9 @@ def gl2_trace_sigma1(field: QuadField, k: int,
                      variant: str = DEFAULT_BRACKET) -> GL2Trace:
     """Trace of sigma on H^1(GL2(O), E_{k,k}):
     -(L(tau) + L(sigma) + 2^t - 4*delta(k,0)) / 4.
+
+    When integral, its absolute value bounds dim H^1(GL2(O), E_{k,k}), which
+    embeds into degree-1 cuspidal cohomology of SL2(O).
     """
     ls = lefschetz_level_one(field, SIGMA, k, variant)
     lt = lefschetz_level_one(field, TAU, k, variant)
@@ -126,91 +129,3 @@ def gl2_trace_sigma1(field: QuadField, k: int,
     value = Fraction(-(lt.value + ls.value + 2**field.t - delta), 4)
     return GL2Trace(d=field.d, k=k, variant=variant, value=value,
                     unadjudicated=k % 2 == 1)
-
-
-def gl2_lower_bound(field: QuadField, k: int, variant: str = DEFAULT_BRACKET) -> int:
-    """|trace| as a lower bound for dim H^1(GL2(O), E_{k,k}); this embeds
-    into degree-1 cuspidal cohomology of SL2(O), so it bounds that too."""
-    tr = gl2_trace_sigma1(field, k, variant)
-    if not tr.integral:
-        raise ConformanceError(
-            f"GL2 trace {tr.value} is not an integer under variant {variant!r}; "
-            "bracket adjudication failure")
-    return abs(int(tr.value))
-
-
-# ---------------------------------------------------------------------------
-# Growth scans
-# ---------------------------------------------------------------------------
-
-
-class ScanReport(NamedTuple):
-    kind: str
-    rows: list[dict]
-    min_ratio: Fraction | None = None
-    floor_ok: bool | None = None
-    constant: bool | None = None
-
-
-def scan_prime_tower(field: QuadField, p: int, n_values: list[int], k: int = 0) -> ScanReport:
-    """Exact bounds up a tower N = p^n next to the volume scale p^{3n}.
-
-    The flag records whether bound / p^{3n} stays above a positive floor,
-    which is the desk-scale shadow of the >> p^{3n} growth statement.
-    """
-    rows = []
-    ratios = []
-    for n in n_values:
-        report = cusp_lower_bound(field, p**n, k)
-        ref = p ** (3 * n)
-        ratio = Fraction(report.bound, ref)
-        ratios.append(ratio)
-        rows.append({"n": n, "N": p**n, "bound": report.bound, "mode": report.mode,
-                     "reference": ref, "ratio": ratio})
-    min_ratio = min(ratios) if ratios else None
-    return ScanReport(kind="prime-tower", rows=rows, min_ratio=min_ratio,
-                      floor_ok=bool(min_ratio and min_ratio > 0))
-
-
-def scan_weights(field: QuadField, N: int, k_values: list[int]) -> ScanReport:
-    """L(sigma, Gamma(N), .)/(k+1) across weights; linearity makes it constant."""
-    rows = []
-    per_weight = []
-    for k in k_values:
-        L = lefschetz_sigma_principal(field, N, k)
-        r = Fraction(L, k + 1)
-        per_weight.append(r)
-        rows.append({"k": k, "L": L, "per_weight": r})
-    return ScanReport(kind="weights", rows=rows,
-                      constant=len(set(per_weight)) <= 1)
-
-
-def scan_discriminants(k: int = 0, d_floor: int = -100) -> ScanReport:
-    """GL2 bound against Euler phi of |D| over a square-free grid of d.
-
-    Rows where the trace fails integrality are flagged and excluded from
-    the ratio minimum instead of aborting the scan.
-    """
-    from .quadfield import is_square_free
-
-    rows = []
-    ratios = []
-    for d in range(-2, d_floor - 1, -1):
-        if d in (-1, -3) or not is_square_free(d):
-            continue
-        f = make_field(d)
-        tr = gl2_trace_sigma1(f, k)
-        phi = euler_phi(abs(f.D))
-        row = {"d": d, "D": f.D, "trace": tr.value, "integral": tr.integral,
-               "phi_D": phi}
-        if tr.integral:
-            bound = abs(int(tr.value))
-            row["bound"] = bound
-            row["ratio"] = Fraction(bound, phi)
-            ratios.append(row["ratio"])
-        else:
-            row["warning"] = "non-integral trace; adjudication diagnostic"
-        rows.append(row)
-    return ScanReport(kind="discriminants", rows=rows,
-                      min_ratio=min(ratios) if ratios else None,
-                      floor_ok=None)

@@ -111,6 +111,8 @@ def trace_h2_eis(field: QuadField, N: int, k: int, involution: str) -> int:
     """
     if involution not in (SIGMA, TAU):
         raise InputError(f"unknown involution {involution!r}")
+    if k < 0:
+        raise InputError(f"weight must be >= 0, got {k}")
     factors = _check_unramified_level(field, N, f"trace_{involution}_h2_eis")
     val = -two_torsion_count(field)
     for p, n in factors:

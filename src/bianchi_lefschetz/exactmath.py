@@ -169,16 +169,6 @@ def hilbert2(a: int, b: int) -> int:
     return -1 if e % 2 else 1
 
 
-def euler_phi(n: int) -> int:
-    """Euler's totient, by the multiplicative formula over factorize(n)."""
-    if n < 1:
-        raise InputError(f"euler_phi requires n >= 1, got {n}")
-    out = 1
-    for p, e in factorize(n):
-        out *= p ** (e - 1) * (p - 1)
-    return out
-
-
 def sym_power_trace(t: int, k: int) -> int:
     """Trace of the k-th symmetric power of a det-1 matrix of trace t.
 

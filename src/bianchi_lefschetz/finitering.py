@@ -194,43 +194,6 @@ class FiniteRing:
         return inv
 
 
-# -- 2x2 matrices -------------------------------------------------------------
-
-
-def mat_identity(ring: FiniteRing) -> Mat:
-    return (ring.one, ring.zero, ring.zero, ring.one)
-
-
-def mat_mul(ring: FiniteRing, m1: Mat, m2: Mat) -> Mat:
-    a1, b1, c1, d1 = m1
-    a2, b2, c2, d2 = m2
-    return (
-        ring.add(ring.mul(a1, a2), ring.mul(b1, c2)),
-        ring.add(ring.mul(a1, b2), ring.mul(b1, d2)),
-        ring.add(ring.mul(c1, a2), ring.mul(d1, c2)),
-        ring.add(ring.mul(c1, b2), ring.mul(d1, d2)),
-    )
-
-
-def mat_det(ring: FiniteRing, m: Mat) -> Elem:
-    a, b, c, d = m
-    return ring.sub(ring.mul(a, d), ring.mul(b, c))
-
-
-def sigma_mat(ring: FiniteRing, m: Mat) -> Mat:
-    """Entry-wise conjugation."""
-    return tuple(ring.sigma(e) for e in m)  # type: ignore[return-value]
-
-
-def tau_mat(ring: FiniteRing, m: Mat) -> Mat:
-    """Twisted conjugation: entry-wise sigma, then negate the off-diagonal.
-
-    Conjugating by diag(-1, 1) flips the sign of b and c only.
-    """
-    a, b, c, d = (ring.sigma(e) for e in m)
-    return (a, ring.neg(b), ring.neg(c), d)
-
-
 # -- orders and enumerations ---------------------------------------------------
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import prod
 from typing import NamedTuple
 
-from .exactmath import (InputError, as_integer, factorize, hilbert2,
+from .exactmath import (ConformanceError, InputError, as_integer, factorize, hilbert2,
                         kronecker, legendre, sym_power_trace)
 from .quadfield import RAMIFIED, SIGMA, TAU, QuadField, splitting_type, two_torsion_count
 
@@ -119,7 +119,9 @@ def make_level(field: QuadField, N: int, s_mode: str = S_ODD_PRIMES) -> Level:
     else:
         s = sum(1 for p, _, spl in factors if p != 2 and spl == RAMIFIED)
     A, B = _table_ab(field.d % 4, j2, field.t - s)
-    assert A >= 0 and B >= 0 and A + 2 * B > 0
+    if A < 0 or B < 0 or A + 2 * B <= 0:
+        raise ConformanceError(f"fixed-surface counts A={A}, B={B} at (d={field.d}, "
+                               f"N={N}) are not nonnegative with A + 2B > 0")
     warning = A.denominator != 1 or B.denominator != 1
     return Level(field=field, N=N, factors=factors, j2=j2, s=s, s_mode=s_mode,
                  A=A, B=B, ab_warning=warning)
@@ -244,11 +246,6 @@ class VariantRecord:
                 and not self.parity_failures_even
                 and not any(k % 2 == 0 for _, _, k, _ in self.integrality_failures))
 
-    @property
-    def strict_ok(self) -> bool:
-        return self.even_ok and not self.parity_failures_odd \
-            and not self.integrality_failures
-
 
 class AdjudicationReport(NamedTuple):
     k_max: int
@@ -258,10 +255,6 @@ class AdjudicationReport(NamedTuple):
     @property
     def passing_even(self) -> list[str]:
         return [v for v in BRACKET_VARIANTS if self.records[v].even_ok]
-
-    @property
-    def passing_strict(self) -> list[str]:
-        return [v for v in BRACKET_VARIANTS if self.records[v].strict_ok]
 
     def summary_lines(self) -> list[str]:
         lines = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, isqrt, pi, sqrt
 
-from .exactmath import InputError
+from .exactmath import ConformanceError, InputError
 from .quadfield import QuadField
 
 HILBERT_ORACLE_EXP = 9  # the search runs modulo 2**9, enough to Hensel-lift
@@ -96,7 +96,8 @@ def sym_power_trace_eigensum(t: int, k: int) -> int:
     for j in range(k + 1):
         term = mul(power(lam, k - j), power(mu, j))
         total = (total[0] + term[0], total[1] + term[1])
-    assert total[1] == 0, "eigenvalue sum failed to be rational"
+    if total[1]:
+        raise ConformanceError(f"eigenvalue sum {total} is not rational (t={t}, k={k})")
     return total[0]
 
 
@@ -260,7 +261,9 @@ def _is_principal(i: _Ideal) -> bool:
             u //= 2
             # u + v*omega must lie in the ideal: u = x*a + y*b
             if (u - y * i.b) % i.a == 0:
-                assert u * u + T * u * v + Nm * v * v == n
+                if u * u + T * u * v + Nm * v * v != n:
+                    raise ConformanceError(f"{u} + {v}*omega lies in the ideal but "
+                                           f"its norm is not {n}")
                 return True
     return False
 

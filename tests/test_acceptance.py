@@ -4,7 +4,7 @@ to see the lines stream."""
 
 import contextlib
 
-from bianchi_lefschetz.bounds import cusp_lower_bound, scan_prime_tower, scan_weights
+from bianchi_lefschetz.bounds import cusp_lower_bound
 from bianchi_lefschetz.eisenstein import (CHARACTER_VARIANTS, DEFAULT_VARIANT,
                                           IllDefinedVariantError,
                                           cusp_count, level_one_sigma_traces,
@@ -145,13 +145,14 @@ def test_criterion_09_exact_bounds():
 
 def test_criterion_10_asymptotic_floors():
     with criterion(10, "tower ratios bound/5^(3n) inside [0.05, 0.2] and "
-                       "weight scan constant in k"):
+                       "L(sigma) linear in k+1"):
         from fractions import Fraction
-        tower = scan_prime_tower(make_field(-2), 5, [1, 2, 3])
-        for row in tower.rows:
-            assert Fraction(1, 20) <= row["ratio"] <= Fraction(1, 5), row
-        weights = scan_weights(make_field(-7), 3, list(range(21)))
-        assert weights.constant and weights.rows[0]["per_weight"] == -2
+        for n in (1, 2, 3):
+            ratio = Fraction(cusp_lower_bound(make_field(-2), 5**n, 0).bound, 5 ** (3 * n))
+            assert Fraction(1, 20) <= ratio <= Fraction(1, 5), (n, ratio)
+        f7 = make_field(-7)
+        for k in range(21):
+            assert lefschetz_sigma_principal(f7, 3, k) == -2 * (k + 1), k
 
 
 def test_criterion_11_eisenstein_trace_values():

@@ -1,14 +1,13 @@
-from fractions import Fraction
+import json
 
 import pytest
 
-from bianchi_lefschetz.bounds import (cusp_lower_bound, gl2_lower_bound,
-                                      gl2_trace_sigma1, scan_discriminants,
-                                      scan_prime_tower, scan_weights)
+from bianchi_lefschetz.bounds import cusp_lower_bound, gl2_trace_sigma1
+from bianchi_lefschetz.cli import main
 from bianchi_lefschetz.eisenstein import cusp_count
-from bianchi_lefschetz.exactmath import ConformanceError, InputError
+from bianchi_lefschetz.exactmath import InputError
 from bianchi_lefschetz.lefschetz import RATIONAL
-from bianchi_lefschetz.quadfield import make_field
+from bianchi_lefschetz.quadfield import is_square_free, make_field
 
 F2, F5, F7, F11 = (make_field(d) for d in (-2, -5, -7, -11))
 
@@ -76,11 +75,13 @@ class TestGL2:
     def test_weight_zero_values(self):
         assert gl2_trace_sigma1(F2, 0).value == 0
         assert gl2_trace_sigma1(F5, 0).value == 0
-        assert gl2_lower_bound(F2, 0) == 0
+        # d = -21 carries weight-zero cuspidal classes: the GL2 trace is 1
+        assert gl2_trace_sigma1(make_field(-21), 0).value == 1
+        assert all(gl2_trace_sigma1(make_field(d), 0).integral for d in range(-2, -31, -1)
+                   if d not in (-1, -3) and is_square_free(d))
 
     def test_eventually_nonzero(self):
         assert gl2_trace_sigma1(F2, 24).value == 1
-        assert gl2_lower_bound(F2, 24) == 1
 
     def test_even_weights_integral_under_default(self):
         for f in (F2, F5, F7, F11):
@@ -92,33 +93,12 @@ class TestGL2:
         tr = gl2_trace_sigma1(F2, 1)
         assert tr.unadjudicated
 
-    def test_non_integral_trace_raises_in_bound(self):
-        # rational brackets break integrality at d=-2, k=2
+    def test_non_integral_trace_raises_in_bound(self, capsys):
+        # rational brackets break integrality at d=-2, k=2, and the gl2 leaf
+        # then refuses the bound
         tr = gl2_trace_sigma1(F2, 2, RATIONAL)
         assert not tr.integral
-        with pytest.raises(ConformanceError):
-            gl2_lower_bound(F2, 2, RATIONAL)
-
-
-class TestScans:
-    def test_prime_tower_ratios(self):
-        rep = scan_prime_tower(F2, 5, [1, 2, 3])
-        ratios = [row["ratio"] for row in rep.rows]
-        assert ratios == [Fraction(12, 125), Fraction(1251, 5**6), Fraction(156251, 5**9)]
-        assert rep.floor_ok
-        assert all(Fraction(1, 20) <= r <= Fraction(1, 5) for r in ratios)
-
-    def test_weight_scan_constant(self):
-        rep = scan_weights(F7, 3, list(range(21)))
-        assert rep.constant
-        assert rep.rows[0]["per_weight"] == -2
-
-    def test_discriminant_scan_emits_rows(self):
-        rep = scan_discriminants(k=0, d_floor=-30)
-        assert rep.rows
-        by_d = {row["d"]: row for row in rep.rows}
-        assert by_d[-2]["bound"] == 0
-        # d = -21 carries weight-zero cuspidal classes: the GL2 trace is 1
-        assert by_d[-21]["bound"] == 1
-        assert rep.min_ratio == 0
-        assert all(row["integral"] for row in rep.rows)
+        assert main(["gl2", "--d", "-2", "--k", "2", "--bracket", "rational"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert "bound" not in rec["result"]
+        assert "non-integral GL2 trace: bracket adjudication failure" in rec["warnings"]

@@ -1,8 +1,10 @@
 import csv
 import io
 import json
+from fractions import Fraction
+from pathlib import Path
 
-from bianchi_lefschetz import bounds, cli, finitering, verify
+from bianchi_lefschetz import bounds, cli, finitering, lefschetz, verify
 from bianchi_lefschetz.cli import argv_of_record, emit, main
 from bianchi_lefschetz.exactmath import ConformanceError
 from test_numpy_free import COMMANDS
@@ -82,6 +84,16 @@ class TestBoundCommand:
         assert rec["result"]["kind"] == "error"
         assert rec["result"]["message"].startswith("exact-mode sum")
 
+    def test_failed_table_invariant_exits_2(self, capsys, monkeypatch):
+        # negative fixed-surface counts break make_level's invariant, which
+        # must stay a conformance error under python -O
+        monkeypatch.setattr(lefschetz, "_table_ab",
+                            lambda d_mod4, j2, ts: (Fraction(-1), Fraction(0)))
+        code, out, err = run_cli(capsys, "bound", "--d", "-7", "--N", "3", "--k", "0")
+        assert code == 2
+        assert not out
+        assert err.startswith("conformance error:")
+
 
 class TestLefschetzCommands:
     def test_principal(self, capsys):
@@ -125,6 +137,13 @@ class TestEisensteinCommands:
         assert code == 0
         (rec,) = records_of(out)
         assert rec["result"]["trace"] == "-72"
+
+    def test_h2_rejects_negative_weight(self, capsys):
+        code, out, err = run_cli(capsys, "eisenstein", "h2", "--d", "-7", "--N", "3",
+                                 "--k", "-1", "--involution", "sigma")
+        assert code == 1
+        assert not out
+        assert err == "error: weight must be >= 0, got -1\n"
 
     def test_h1(self, capsys):
         code, out, _ = run_cli(capsys, "eisenstein", "h1", "--d", "-2", "--p", "5",
@@ -258,6 +277,12 @@ class TestVerifyCommand:
         assert code == 2
         assert "FAIL symbols: hilbert2 closed formula == mod-2^9 norm search on 448 pairs" in out
         assert "PASS symbols: hilbert2 symmetry on the square-free grid |a|,|b| <= 50" in out
+
+    def test_verify_all_output_is_pinned(self, capsys):
+        # every line, DIAG text included, as the suites printed it when pinned
+        code, out, err = run_cli(capsys, "verify", "all")
+        assert code == 0 and not err
+        assert out == (Path(__file__).parent / "verify_all.txt").read_text()
 
     def test_unknown_suite_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "nope")

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from bianchi_lefschetz.exactmath import (ConformanceError, InputError, as_integer,
-                                         euler_phi, factorize, hilbert2, is_prime,
-                                         kronecker, legendre, sym_power_trace)
+                                         factorize, hilbert2, is_prime, kronecker,
+                                         legendre, sym_power_trace)
 from bianchi_lefschetz.oracles import hilbert2_norm_search, sym_power_trace_eigensum
 
 
@@ -254,22 +254,6 @@ def test_is_prime_matches_miller_rabin():
     assert is_prime(1667) and is_prime(1693)
     for n in range(-5, 2 * 10**5):
         assert is_prime(n) == _is_prime_by_miller_rabin(n), n
-
-
-class TestEulerPhi:
-    def test_frozen_values(self):
-        assert euler_phi(1) == 1
-        assert euler_phi(20) == 8
-        assert euler_phi(7) == 6
-
-    def test_unit_count_oracle(self):
-        from math import gcd
-        for n in range(1, 300):
-            assert euler_phi(n) == sum(1 for x in range(1, n + 1) if gcd(x, n) == 1)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(InputError):
-            euler_phi(0)
 
 
 class TestSymPowerTrace:

@@ -6,8 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from bianchi_lefschetz.bounds import (BoundReport, GL2Trace, ScanReport, cusp_lower_bound,
-                                      gl2_trace_sigma1, scan_weights)
+from bianchi_lefschetz.bounds import BoundReport, GL2Trace, cusp_lower_bound, gl2_trace_sigma1
 from bianchi_lefschetz.eisenstein import (LevelOneTraces, SczechOperator, SczechTrace,
                                           level_one_sigma_traces, sczech_trace)
 from bianchi_lefschetz.finitering import CensusReport, FiniteRing, fixed_coset_report
@@ -29,7 +28,6 @@ FROZEN = {
     CensusReport: lambda: fixed_coset_report(FiniteRing(F7, 3), "sigma"),
     GL2Trace: lambda: gl2_trace_sigma1(F7, 0),
     BoundReport: lambda: cusp_lower_bound(F2, 5, 0),
-    ScanReport: lambda: scan_weights(F7, 5, [0, 1]),
     AdjudicationReport: lambda: adjudicate_brackets([F7], 2),
 }
 MUTABLE = (SczechOperator, VariantRecord, SuiteResult)
