@@ -49,6 +49,8 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
+        if p * p > n:
+            return True
         if n % p == 0:
             return n == p
     if n < 41 * 41:
@@ -140,15 +142,6 @@ def kronecker(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-def _split_two(n: int) -> tuple[int, int]:
-    """n = 2**v * u with u odd; returns (v, u)."""
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    return v, n
-
-
 def hilbert2(a: int, b: int) -> int:
     """2-adic Hilbert symbol (a, b)_2 in {-1, 1}.
 
@@ -159,14 +152,15 @@ def hilbert2(a: int, b: int) -> int:
     """
     if a == 0 or b == 0:
         raise InputError("hilbert2 requires nonzero arguments")
-    alpha, u = _split_two(a)
-    beta, v = _split_two(b)
-    eps_u = ((u - 1) // 2) % 2
-    eps_v = ((v - 1) // 2) % 2
-    om_u = ((u * u - 1) // 8) % 2
-    om_v = ((v * v - 1) // 8) % 2
-    e = eps_u * eps_v + alpha * om_v + beta * om_u
-    return -1 if e % 2 else 1
+    # a = 2**alpha * u and b = 2**beta * v with u, v odd; a & -a is 2**alpha
+    alpha, beta = (a & -a).bit_length() - 1, (b & -b).bit_length() - 1
+    u, v = a >> alpha, b >> beta
+    # For odd x, eps(x) = (x - 1)/2 mod 2 is 1 exactly when x = 3 mod 4, and
+    # omega(x) = (x^2 - 1)/8 mod 2 is 1 exactly when x = +-3 mod 8.
+    eps_u, eps_v = u & 3 == 3, v & 3 == 3
+    om_u, om_v = u & 7 in (3, 5), v & 7 in (3, 5)
+    e = (eps_u and eps_v) ^ (alpha & om_v) ^ (beta & om_u)
+    return -1 if e else 1
 
 
 def sym_power_trace(t: int, k: int) -> int:

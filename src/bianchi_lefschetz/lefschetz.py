@@ -20,6 +20,7 @@ Three formula families live here:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 from typing import NamedTuple
 
@@ -185,45 +186,58 @@ class LevelOneLefschetz(NamedTuple):
         return self.value.denominator == 1
 
 
+@lru_cache(maxsize=256)
+def _level_one_coefficients(field: QuadField, involution: str) -> tuple[int, int, int, int, int]:
+    """The weight-free integer products of the four-term formula.
+
+    Returns (c1, c2, c3, first, second): the prime products of t1, t2 and
+    t3, and the two prime products of t4.  They depend on the field and
+    the involution only, so one adjudication grid computes each once.
+    """
+    q = 1 if involution == TAU else -1
+    odd_ram = [p for p in field.ramified_primes if p != 2]
+    c1 = prod((p + legendre(q, p) for p in odd_ram), start=1)
+    c2 = prod((1 + legendre(-q, p) for p in odd_ram), start=1)
+    if 2 in field.ramified_primes:
+        c1 *= field.D2 + hilbert_at(field, q, 2)
+        c2 *= 4 + hilbert_at(field, -q, 2)
+    c3 = prod((1 + legendre(-2 * q, p) for p in odd_ram), start=1)
+    first = prod((1 + hilbert_at(field, -3 * q, p)
+                  for p in field.ramified_primes if p != 3), start=1)
+    second = prod((1 + hilbert_at(field, -q, p)
+                   for p in field.ramified_primes), start=1)
+    return c1, c2, c3, first, second
+
+
 def lefschetz_level_one(field: QuadField, involution: str, k: int,
                         variant: str = DEFAULT_BRACKET) -> LevelOneLefschetz:
     """L(rho, SL2(O), E_{k,k}) for rho in {sigma, tau}.
 
-    Four exact-rational terms; non-integral totals are reported through
-    the result rather than raised, because integrality is exactly what
-    adjudicates the bracket readings.
+    Four exact-rational terms, with sgn = (-1)^k and q = -1 for sigma,
+    +1 for tau:
+    t1 = -q (k+1) c1 / 12, t2 = q sgn (k+1) c2 / 12, t3 = c3 [(k+1)/4] / 2
+    and t4 = (first + sgn second) [(k+1)/3] / 3, and L = sgn (t1 + t2 + t3 + t4).
+    The integer products come from the memo `_level_one_coefficients`.
+    Non-integral totals are reported through the result rather than
+    raised, because integrality is exactly what adjudicates the bracket
+    readings.
     """
     if involution not in (SIGMA, TAU):
         raise InputError(f"unknown involution {involution!r}")
     if k < 0:
         raise InputError(f"weight must be >= 0, got {k}")
     q = 1 if involution == TAU else -1
-    odd_ram = [p for p in field.ramified_primes if p != 2]
-    two_ram = 2 in field.ramified_primes
     sgn = (-1) ** k
-
-    t1 = Fraction(-q, 12) * (k + 1)
-    t1 *= prod((p + legendre(q, p) for p in odd_ram), start=1)
-    if two_ram:
-        t1 *= field.D2 + hilbert_at(field, q, 2)
-
-    t2 = Fraction(q, 12) * sgn * (k + 1)
-    t2 *= prod((1 + legendre(-q, p) for p in odd_ram), start=1)
-    if two_ram:
-        t2 *= 4 + hilbert_at(field, -q, 2)
-
-    t3 = Fraction(1, 2) * bracket_factor(variant, 4, k)
-    t3 *= prod((1 + legendre(-2 * q, p) for p in odd_ram), start=1)
-
-    first = prod((1 + hilbert_at(field, -3 * q, p)
-                  for p in field.ramified_primes if p != 3), start=1)
-    second = prod((1 + hilbert_at(field, -q, p)
-                   for p in field.ramified_primes), start=1)
-    t4 = Fraction(1, 3) * (first + sgn * second) * bracket_factor(variant, 3, k)
-
-    value = sgn * (t1 + t2 + t3 + t4)
+    c1, c2, c3, first, second = _level_one_coefficients(field, involution)
+    b4, b3 = bracket_factor(variant, 4, k), bracket_factor(variant, 3, k)
+    # the four terms over their common denominator 12 * den(b4) * den(b3)
+    d4, d3 = b4.denominator, b3.denominator
+    num = (q * (k + 1) * (sgn * c2 - c1) * d4 * d3
+           + 6 * c3 * b4.numerator * d3
+           + 4 * (first + sgn * second) * b3.numerator * d4)
+    value = Fraction(sgn * num, 12 * d4 * d3)
     return LevelOneLefschetz(d=field.d, involution=involution, k=k,
-                             variant=variant, value=Fraction(value))
+                             variant=variant, value=value)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from .quadfield import QuadField
 HILBERT_ORACLE_EXP = 9  # the search runs modulo 2**9, enough to Hensel-lift
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _square_classes(exp: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...],
                                         tuple[int, ...]]:
     """The distinct pairs (x^2 mod 2**exp, x mod 2) over all residues x, and
@@ -38,6 +38,17 @@ def _square_classes(exp: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, .
     return classes, shifted(squares_all), shifted(squares_odd)
 
 
+@lru_cache(maxsize=64)
+def _value_masks(b: int, exp: int) -> tuple[int, int]:
+    """Bitmasks of the values b y^2 mod 2**exp over the square classes of y,
+    one for y even and one for y odd."""
+    mod = 1 << exp
+    by = [0, 0]
+    for sq, odd in _square_classes(exp)[0]:
+        by[odd] |= 1 << (b * sq % mod)
+    return by[0], by[1]
+
+
 def hilbert2_norm_search(a: int, b: int, exp: int = HILBERT_ORACLE_EXP) -> int:
     """Decide (a,b)_2 by exhaustive search for z^2 = a x^2 + b y^2 mod 2**exp.
 
@@ -52,21 +63,21 @@ def hilbert2_norm_search(a: int, b: int, exp: int = HILBERT_ORACLE_EXP) -> int:
     with the masks of t for which t + k is a square (of an odd z when x and
     y are both even).  This is the same exhaustive predicate over the same
     class pairs; nothing about square classes is assumed, so the route stays
-    independent of the closed formula.
+    independent of the closed formula.  The y-side masks are memoised per
+    (b, exp) in `_value_masks`, since a grid of pairs repeats each b.
     """
     if a == 0 or b == 0:
         raise InputError("hilbert2_norm_search requires nonzero arguments")
     mod = 1 << exp
     classes, hit_all, hit_odd = _square_classes(exp)
-    by = [0, 0]                             # bits b y^2 mod 2**exp, for y even and y odd
-    for sq, odd in classes:
-        by[odd] |= 1 << (b * sq % mod)
+    by_even, by_odd = _value_masks(b, exp)
+    by_any = by_even | by_odd
     for sq, odd in classes:
         k = a * sq % mod
         if odd:
-            found = hit_all[k] & (by[0] | by[1])
+            found = hit_all[k] & by_any
         else:
-            found = hit_all[k] & by[1] or hit_odd[k] & by[0]
+            found = hit_all[k] & by_odd or hit_odd[k] & by_even
         if found:
             return 1
     return -1

@@ -14,6 +14,7 @@ omega^2 = T*omega - Nm with T = trace(omega), Nm = norm(omega).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .exactmath import InputError, factorize, is_prime, kronecker
@@ -83,8 +84,15 @@ def ambiguous_form_count(D: int) -> int:
     return sum(1 for (a, b, c) in reduced_forms(D) if b == 0 or a == b or a == c)
 
 
+@lru_cache(maxsize=256)
 def make_field(d: int) -> QuadField:
-    """Build the QuadField for a square-free d < 0, d not in {-1, -3}."""
+    """Build the QuadField for a square-free d < 0, d not in {-1, -3}.
+
+    Memoised (`make_field.cache_clear()` empties the memo): a caller asks
+    for the same few fields again and again, and each build enumerates
+    the reduced forms of D once, O(|D|) work.  `lru_cache` stores no
+    exceptions, so a rejected d raises InputError on every call.
+    """
     if d >= 0:
         raise InputError(f"d must be negative, got {d}")
     if d in (-1, -3):
@@ -98,8 +106,9 @@ def make_field(d: int) -> QuadField:
     else:
         D = 4 * d
         omega_trace, omega_norm = 0, -d
-    ramified = tuple(p for p, _ in factorize(abs(D)))
-    v2 = next((e for p, e in factorize(abs(D)) if p == 2), 0)
+    factors = factorize(abs(D))
+    ramified = tuple(p for p, _ in factors)
+    v2 = next((e for p, e in factors if p == 2), 0)
     return QuadField(
         d=d,
         D=D,

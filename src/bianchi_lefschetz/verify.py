@@ -23,7 +23,7 @@ from .exactmath import (ConformanceError, InputError, hilbert2, is_prime, kronec
 from .finitering import FiniteRing, cusp_count_bruteforce, fixed_coset_report, sl2_order
 from .lefschetz import (BRACKET_VARIANTS, DEFAULT_BRACKET, adjudicate_brackets,
                         lefschetz_level_one, lefschetz_sigma_prime_power,
-                        lefschetz_sigma_principal)
+                        lefschetz_sigma_principal, make_level)
 from .quadfield import (INERT, SIGMA, SPLIT, ambiguous_form_count, is_square_free,
                         make_field, splitting_type, two_torsion_count)
 
@@ -176,8 +176,9 @@ def suite_integrality(res: SuiteResult) -> None:
             if splitting_type(f, p) not in (SPLIT, INERT):
                 continue
             for n in (1, 2):
+                level = make_level(f, p**n)
                 for k in range(6):
-                    if lefschetz_sigma_principal(f, p**n, k) != \
+                    if lefschetz_sigma_principal(f, level, k) != \
                        lefschetz_sigma_prime_power(f, p, n, k):
                         ok = False
     res.check(ok, "principal-level formula == prime-power formula on the whole grid")

@@ -4,9 +4,11 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from bianchi_lefschetz import bounds, cli, finitering, lefschetz, verify
+import pytest
+
+from bianchi_lefschetz import bounds, cli, finitering, lefschetz, quadfield, verify
 from bianchi_lefschetz.cli import argv_of_record, emit, main
-from bianchi_lefschetz.exactmath import ConformanceError
+from bianchi_lefschetz.exactmath import ConformanceError, InputError
 from test_numpy_free import COMMANDS
 
 
@@ -323,3 +325,21 @@ def test_each_query_builds_its_field_once(monkeypatch, capsys, tmp_path):
                                          for a in argv])
         assert code == 0, err
         assert calls == [int(argv[argv.index("--d") + 1])], argv
+
+
+def test_table_enumerates_each_field_once(monkeypatch, capsys):
+    # make_field is memoised, so clear it before counting what it calls
+    quadfield.make_field.cache_clear()
+    enumerated = []
+    real = quadfield.reduced_forms
+    monkeypatch.setattr(quadfield, "reduced_forms",
+                        lambda D: enumerated.append(D) or real(D))
+    code, out, err = run_cli(capsys, "table", "--d-list", "-9999991", "--N-list", "3", "5",
+                             "--k-list", "0", "1")
+    assert code == 0, err
+    assert len(records_of(out)) == 4
+    assert enumerated == [-9999991]
+    for _ in range(2):
+        with pytest.raises(InputError):
+            quadfield.make_field(-4)
+    assert quadfield.make_field(-7) is quadfield.make_field(-7)

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -150,6 +151,44 @@ class TestHilbert2:
                 assert hilbert2(b, a) == hilbert2_norm_search(b, a)
 
 
+@lru_cache(maxsize=None)   # the grids below repeat each argument many times
+def _split_two_ref(n):
+    v = 0
+    while n % 2 == 0:
+        n //= 2
+        v += 1
+    return v, n
+
+
+def _hilbert2_ref(a, b):
+    # the exponent formula on eps(u) = (u-1)/2 and omega(u) = (u^2-1)/8,
+    # computed with the valuations stripped by repeated halving
+    alpha, u = _split_two_ref(a)
+    beta, v = _split_two_ref(b)
+    eps_u = ((u - 1) // 2) % 2
+    eps_v = ((v - 1) // 2) % 2
+    om_u = ((u * u - 1) // 8) % 2
+    om_v = ((v * v - 1) // 8) % 2
+    e = eps_u * eps_v + alpha * om_v + beta * om_u
+    return -1 if e % 2 else 1
+
+
+class TestHilbert2AgainstReference:
+    def test_small_grid(self):
+        values = [x for x in range(-256, 257) if x]
+        for a in values:
+            for b in values:
+                assert hilbert2(a, b) == _hilbert2_ref(a, b), (a, b)
+
+    def test_high_valuations(self):
+        bs = [b for b in range(-50, 51) if b]
+        for e in range(81):
+            for u in range(1, 64, 2):
+                for a in (2**e * u, -(2**e) * u):
+                    for b in bs:
+                        assert hilbert2(a, b) == _hilbert2_ref(a, b), (a, b)
+
+
 def _norm_search_ref(a, b, exp):
     # the earlier full search over all 2**exp x 2**exp pairs (x, y)
     mod = 1 << exp
@@ -250,7 +289,7 @@ def _is_prime_by_miller_rabin(n):
 
 def test_is_prime_matches_miller_rabin():
     # 41^2 = 1681 and 37^2 = 1369 bound the trial-division shortcut
-    assert not is_prime(1681) and not is_prime(1369)
+    assert not is_prime(1681) and not is_prime(37 * 37) and not is_prime(31 * 37)
     assert is_prime(1667) and is_prime(1693)
     for n in range(-5, 2 * 10**5):
         assert is_prime(n) == _is_prime_by_miller_rabin(n), n

@@ -1,16 +1,19 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from bianchi_lefschetz.exactmath import InputError, is_prime
+from bianchi_lefschetz.exactmath import InputError, is_prime, legendre
 from bianchi_lefschetz.lefschetz import (BRACKET_VARIANTS, DEFAULT_BRACKET,
                                          KRONECKER, RATIONAL, S_LITERAL,
-                                         TORSION_CHAR, adjudicate_brackets,
-                                         bracket_factor,
+                                         TORSION_CHAR, LevelOneLefschetz,
+                                         _level_one_coefficients, adjudicate_brackets,
+                                         bracket_factor, hilbert_at,
                                          lefschetz_level_one,
                                          lefschetz_sigma_prime_power,
                                          lefschetz_sigma_principal, make_level)
-from bianchi_lefschetz.quadfield import make_field, two_torsion_count
+from bianchi_lefschetz.quadfield import (SIGMA, TAU, is_square_free, make_field,
+                                         two_torsion_count)
 
 F2, F5, F7, F11 = (make_field(d) for d in (-2, -5, -7, -11))
 GRID = (F2, F5, F7, F11)
@@ -127,6 +130,61 @@ class TestLevelOne:
             for inv in ("sigma", "tau"):
                 for k in range(25):
                     assert lefschetz_level_one(f, inv, k, DEFAULT_BRACKET).integral
+
+
+def _level_one_ref(field, involution, k, variant=DEFAULT_BRACKET):
+    # the four terms written out per call, as first implemented, before the
+    # weight-free products were factored out and memoised
+    if involution not in (SIGMA, TAU):
+        raise InputError(f"unknown involution {involution!r}")
+    if k < 0:
+        raise InputError(f"weight must be >= 0, got {k}")
+    q = 1 if involution == TAU else -1
+    odd_ram = [p for p in field.ramified_primes if p != 2]
+    two_ram = 2 in field.ramified_primes
+    sgn = (-1) ** k
+
+    t1 = Fraction(-q, 12) * (k + 1)
+    t1 *= prod((p + legendre(q, p) for p in odd_ram), start=1)
+    if two_ram:
+        t1 *= field.D2 + hilbert_at(field, q, 2)
+
+    t2 = Fraction(q, 12) * sgn * (k + 1)
+    t2 *= prod((1 + legendre(-q, p) for p in odd_ram), start=1)
+    if two_ram:
+        t2 *= 4 + hilbert_at(field, -q, 2)
+
+    t3 = Fraction(1, 2) * bracket_factor(variant, 4, k)
+    t3 *= prod((1 + legendre(-2 * q, p) for p in odd_ram), start=1)
+
+    first = prod((1 + hilbert_at(field, -3 * q, p)
+                  for p in field.ramified_primes if p != 3), start=1)
+    second = prod((1 + hilbert_at(field, -q, p)
+                   for p in field.ramified_primes), start=1)
+    t4 = Fraction(1, 3) * (first + sgn * second) * bracket_factor(variant, 3, k)
+
+    value = sgn * (t1 + t2 + t3 + t4)
+    return LevelOneLefschetz(d=field.d, involution=involution, k=k,
+                             variant=variant, value=Fraction(value))
+
+
+class TestLevelOneAgainstReference:
+    def test_every_field_weight_and_variant(self):
+        fields = [make_field(d) for d in range(-2, -201, -1)
+                  if d not in (-1, -3) and is_square_free(d)]
+        for f in fields:
+            for inv in (SIGMA, TAU):
+                for k in range(25):
+                    for v in BRACKET_VARIANTS:
+                        got = lefschetz_level_one(f, inv, k, v)
+                        assert got == _level_one_ref(f, inv, k, v), (f.d, inv, k, v)
+                        assert type(got.value) is Fraction
+
+    def test_adjudication_computes_each_product_once(self):
+        _level_one_coefficients.cache_clear()
+        adjudicate_brackets([make_field(d) for d in (-2, -5, -7, -11)], 24)
+        # four fields times two involutions, shared by 3 variants x 25 weights
+        assert _level_one_coefficients.cache_info().misses == 8
 
 
 class TestAdjudication:
