@@ -12,7 +12,8 @@ bracket factors; the adjudication harness shows which reading survives.
 from bianchi_lefschetz.lefschetz import (BRACKET_VARIANTS, DEFAULT_BRACKET,
                                          adjudicate_brackets, lefschetz_level_one,
                                          lefschetz_sigma_prime_power,
-                                         lefschetz_sigma_principal, make_level)
+                                         lefschetz_sigma_principal, make_level,
+                                         summary_lines)
 from bianchi_lefschetz.quadfield import make_field, two_torsion_count
 
 print("principal levels, weight 0:")
@@ -33,19 +34,19 @@ for n in (1, 2):
 print("\nlevel one, weight 0 (all bracket readings coincide here):")
 for d in (-2, -5, -7, -11):
     f = make_field(d)
-    ls = lefschetz_level_one(f, "sigma", 0).value
-    lt = lefschetz_level_one(f, "tau", 0).value
+    ls = lefschetz_level_one(f, "sigma", 0)
+    lt = lefschetz_level_one(f, "tau", 0)
     print(f"  d={d:>4}: L(sigma) = {ls} = 2 + h - 2^(t-1) = "
           f"{2 + f.h - two_torsion_count(f)},  L(tau) = {lt}")
 
 print("\nbracket adjudication over d in {-2,-5,-7,-11}, k <= 24:")
-report = adjudicate_brackets([make_field(d) for d in (-2, -5, -7, -11)], 24)
-for line in report.summary_lines():
+records = adjudicate_brackets([make_field(d) for d in (-2, -5, -7, -11)], 24)
+for line in summary_lines(records):
     print(" ", line)
 print(f"  shipped default: {DEFAULT_BRACKET}")
 
 print("\nwhere the rejected readings break (d=-2):")
 for variant in BRACKET_VARIANTS:
-    vals = [str(lefschetz_level_one(make_field(-2), "sigma", k, variant).value)
+    vals = [str(lefschetz_level_one(make_field(-2), "sigma", k, variant))
             for k in range(5)]
     print(f"  {variant:>13}: L(sigma, k=0..4) = {vals}")

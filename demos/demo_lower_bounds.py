@@ -32,7 +32,7 @@ print("\nweight growth is linear: L(sigma, Gamma(3)) = (k+1) * L(k=0) at d = -7:
 f7 = make_field(-7)
 print("  " + ", ".join(f"k={k}: {lefschetz_sigma_principal(f7, 3, k)}" for k in range(0, 21, 4)))
 
-traces = {k: gl2_trace_sigma1(f2, k).value for k in range(0, 25, 2)}
+traces = {k: gl2_trace_sigma1(f2, k) for k in range(0, 25, 2)}
 first = min(k for k, value in traces.items() if value)
 print(f"\ntrace of sigma on GL2 cohomology at d = -2, even weights (nonzero from k = {first}):")
 print("  " + ", ".join(f"k={k}: {value}" for k, value in traces.items()))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .eisenstein import cusp_count, trace_h2_eis, trace_sigma_h1_eis
-from .exactmath import ConformanceError, InputError
+from .exactmath import ConformanceError
 from .lefschetz import (DEFAULT_BRACKET, lefschetz_level_one, lefschetz_sigma_principal,
                         make_level)
 from .quadfield import INERT, SIGMA, TAU, QuadField
@@ -26,10 +26,6 @@ EXACT, WORST_CASE = "exact", "worst_case"
 
 
 class BoundReport(NamedTuple):
-    d: int
-    N: int
-    k: int
-    involution: str
     mode: str
     L: int
     tr0: int
@@ -41,19 +37,14 @@ class BoundReport(NamedTuple):
     tr1_window: int | None = None          # |tr1| <= window in worst-case mode
 
 
-def cusp_lower_bound(field: QuadField, N: int, k: int,
-                     involution: str = SIGMA) -> BoundReport:
-    """Lower bound for dim H^1_cusp(Gamma(N), E_{k,k}) under the involution.
+def cusp_lower_bound(field: QuadField, N: int, k: int) -> BoundReport:
+    """Lower bound for dim H^1_cusp(Gamma(N), E_{k,k}) under sigma, the one
+    involution with a closed Lefschetz formula at principal level.
 
-    Exact mode needs k = 0, class number one, N = p^n with p inert and the
-    untwisted involution; everything else falls back to the worst-case
-    window bound max(0, ceil((|L - tr2 - tr0| - c)/2)) with |tr1| <= c.
+    Exact mode needs k = 0, class number one and N = p^n with p inert;
+    everything else falls back to the worst-case window bound
+    max(0, ceil((|L - tr2 - tr0| - c)/2)) with |tr1| <= c.
     """
-    if involution == TAU:
-        raise InputError("no closed Lefschetz formula at principal level for tau; "
-                         "tau is available at level one only")
-    if involution != SIGMA:
-        raise InputError(f"unknown involution {involution!r}")
     level = make_level(field, N)  # validates N > 2
     prov: dict[str, str] = {}
     warnings: list[str] = []
@@ -85,16 +76,14 @@ def cusp_lower_bound(field: QuadField, N: int, k: int,
             raise ConformanceError(
                 f"exact-mode sum {total} is odd; halving would not give an integer")
         bound = abs(total) // 2
-        return BoundReport(d=field.d, N=N, k=k, involution=involution, mode=EXACT,
-                           L=L, tr0=tr0, tr1_eis=tr1, tr2_eis=tr2, bound=bound,
+        return BoundReport(mode=EXACT, L=L, tr0=tr0, tr1_eis=tr1, tr2_eis=tr2, bound=bound,
                            provenance=prov, warnings=warnings)
 
     c = cusp_count(field, N)
     prov["tr1_eis"] = "worst-case window from the Eisenstein dimension c(Gamma)"
     raw = abs(L - tr2 - tr0) - c
     bound = max(0, (raw + 1) // 2)  # ceil of raw/2, clamped
-    return BoundReport(d=field.d, N=N, k=k, involution=involution, mode=WORST_CASE,
-                       L=L, tr0=tr0, tr1_eis=None, tr1_window=c, tr2_eis=tr2,
+    return BoundReport(mode=WORST_CASE, L=L, tr0=tr0, tr1_eis=None, tr1_window=c, tr2_eis=tr2,
                        bound=bound, provenance=prov, warnings=warnings)
 
 
@@ -103,29 +92,15 @@ def cusp_lower_bound(field: QuadField, N: int, k: int,
 # ---------------------------------------------------------------------------
 
 
-class GL2Trace(NamedTuple):
-    d: int
-    k: int
-    variant: str
-    value: Fraction
-    unadjudicated: bool   # odd weights: bracket reading still open
-
-    @property
-    def integral(self) -> bool:
-        return self.value.denominator == 1
-
-
-def gl2_trace_sigma1(field: QuadField, k: int,
-                     variant: str = DEFAULT_BRACKET) -> GL2Trace:
+def gl2_trace_sigma1(field: QuadField, k: int, variant: str = DEFAULT_BRACKET) -> Fraction:
     """Trace of sigma on H^1(GL2(O), E_{k,k}):
     -(L(tau) + L(sigma) + 2^t - 4*delta(k,0)) / 4.
 
     When integral, its absolute value bounds dim H^1(GL2(O), E_{k,k}), which
-    embeds into degree-1 cuspidal cohomology of SL2(O).
+    embeds into degree-1 cuspidal cohomology of SL2(O).  At odd k the
+    bracket reading behind it is still unadjudicated.
     """
     ls = lefschetz_level_one(field, SIGMA, k, variant)
     lt = lefschetz_level_one(field, TAU, k, variant)
     delta = 4 if k == 0 else 0
-    value = Fraction(-(lt.value + ls.value + 2**field.t - delta), 4)
-    return GL2Trace(d=field.d, k=k, variant=variant, value=value,
-                    unadjudicated=k % 2 == 1)
+    return Fraction(-(lt + ls + 2**field.t - delta), 4)

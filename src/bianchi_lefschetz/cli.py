@@ -147,14 +147,14 @@ def _cmd_lefschetz_principal(args, field):
 
 
 def _cmd_lefschetz_level_one(args, field):
-    res = lefschetz_level_one(field, args.involution, args.k, args.bracket)
+    L = lefschetz_level_one(field, args.involution, args.k, args.bracket)
+    integral = L.denominator == 1
     warnings = []
-    if not res.integral:
+    if not integral:
         warnings.append("non-integral Lefschetz number: bracket reading fails here")
     if args.k % 2 == 1:
         warnings.append("odd weight: bracket reading unadjudicated")
-    result = {"kind": "lefschetz_level_one", "L": _fmt(res.value),
-              "integral": _fmt(res.integral)}
+    result = {"kind": "lefschetz_level_one", "L": _fmt(L), "integral": _fmt(integral)}
     return result, warnings, {"L": "level-one four-term Lefschetz formula"}
 
 
@@ -187,7 +187,7 @@ def _cmd_sczech(args, field):
 
 
 def _cmd_bound(args, field):
-    rep = cusp_lower_bound(field, args.N, args.k, args.involution)
+    rep = cusp_lower_bound(field, args.N, args.k)   # --involution admits sigma only
     result = {"kind": "cusp_lower_bound", "bound": _fmt(rep.bound), "mode": rep.mode,
               "L": _fmt(rep.L), "tr0": _fmt(rep.tr0), "tr2_eis": _fmt(rep.tr2_eis)}
     if rep.tr1_eis is not None:
@@ -199,14 +199,14 @@ def _cmd_bound(args, field):
 
 def _cmd_gl2(args, field):
     tr = gl2_trace_sigma1(field, args.k, args.bracket)
+    integral = tr.denominator == 1
     warnings = []
-    result = {"kind": "gl2_trace", "trace": _fmt(tr.value),
-              "integral": _fmt(tr.integral)}
-    if tr.integral:
-        result["bound"] = _fmt(abs(int(tr.value)))
+    result = {"kind": "gl2_trace", "trace": _fmt(tr), "integral": _fmt(integral)}
+    if integral:
+        result["bound"] = _fmt(abs(tr.numerator))
     else:
         warnings.append("non-integral GL2 trace: bracket adjudication failure")
-    if tr.unadjudicated:
+    if args.k % 2 == 1:
         warnings.append("odd weight: bracket reading unadjudicated")
     return result, warnings, {"trace": "GL2 degree-1 trace from the two level-one "
                                        "Lefschetz numbers"}
@@ -220,8 +220,7 @@ def _cmd_table(args) -> list[dict]:
     for d, N, k in product(args.d_list, args.N_list, args.k_list):
         try:
             field = make_field(d)
-            result, warnings, provenance = _cmd_bound(
-                argparse.Namespace(N=N, k=k, involution="sigma"), field)
+            result, warnings, provenance = _cmd_bound(argparse.Namespace(N=N, k=k), field)
         except (InputError, ConformanceError) as exc:
             rec = _record(query, None, {"kind": "error", "d": str(d), "N": str(N),
                                         "k": str(k), "message": str(exc)})

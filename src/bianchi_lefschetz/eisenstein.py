@@ -124,30 +124,19 @@ class LevelOneTraces(NamedTuple):
     """Traces of sigma on level-one Eisenstein cohomology in degrees 0/1/2.
 
     At weight zero all three are exact.  For k > 0 the degree-1 trace is
-    not pinned by any closed formula here; it is reported as unknown with
-    the window |tr1| <= h and a nonpositivity hint coming from the
-    boundary-eigenspace restriction at weight zero.
+    not pinned by any closed formula here, and is reported as None.
     """
-    k: int
     tr0: int
     tr1: int | None
     tr2: int
-    tr1_exact: bool
-    tr1_window: int
-    tr1_sign_hint: str
 
 
 def level_one_sigma_traces(field: QuadField, k: int) -> LevelOneTraces:
     if k < 0:
         raise InputError(f"weight must be >= 0, got {k}")
     if k == 0:
-        return LevelOneTraces(k=0, tr0=1, tr1=-field.h,
-                              tr2=-two_torsion_count(field) + 1,
-                              tr1_exact=True, tr1_window=field.h,
-                              tr1_sign_hint="exact")
-    return LevelOneTraces(k=k, tr0=0, tr1=None, tr2=-two_torsion_count(field),
-                          tr1_exact=False, tr1_window=field.h,
-                          tr1_sign_hint="nonpositive")
+        return LevelOneTraces(tr0=1, tr1=-field.h, tr2=-two_torsion_count(field) + 1)
+    return LevelOneTraces(tr0=0, tr1=None, tr2=-two_torsion_count(field))
 
 
 def trace_sigma_h1_eis(field: QuadField, p: int, n: int) -> int:
@@ -216,8 +205,8 @@ class SczechOperator:
     N^4 indices and the dense matrix exist only for the dump.
     """
 
-    def __init__(self, field: QuadField, N: int, variant: str, gram) -> None:
-        self.field, self.N, self.variant = field, N, variant
+    def __init__(self, N: int, gram) -> None:
+        self.N = N
         self.gram = tuple(tuple(int(a) for a in row) for row in gram)
 
     @cached_property
@@ -386,21 +375,19 @@ def sczech_operator(field: QuadField, N: int, variant: str = DEFAULT_VARIANT) ->
     # the pairing on the four basis vectors is A
     basis = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     gram = tuple(tuple(_pairing(field, N, variant, x, z) for z in basis) for x in basis)
-    return SczechOperator(field=field, N=N, variant=variant, gram=gram)
+    return SczechOperator(N, gram)
 
 
 class SczechTrace(NamedTuple):
     value: float       # real part of the matrix trace
     imag: float        # diagnostic; must be ~0
     expected: int      # -(N^2 + 1)
-    variant: str
 
 
 def sczech_trace(field: QuadField, N: int, variant: str = DEFAULT_VARIANT) -> SczechTrace:
     op = sczech_operator(field, N, variant)
     tr = op.trace()
-    return SczechTrace(value=tr.real, imag=tr.imag,
-                       expected=-(N * N + 1), variant=variant)
+    return SczechTrace(value=tr.real, imag=tr.imag, expected=-(N * N + 1))
 
 
 def write_matrix_dump(op: SczechOperator, path: str) -> None:

@@ -52,6 +52,14 @@ Mat = tuple[Elem, Elem, Elem, Elem]  # (a, b, c, d) row-major
 # tuples and its list slot (tracemalloc: 79-81 at N = 5..11, split, inert
 # and ramified), so 88 is an upper bound.
 _BYTES_PER_MATRIX = 88
+# Bytes one code of the product table holds: its list slot and, past the
+# small ints Python shares, a boxed int (tracemalloc: 8.7, 18.2, 25.5,
+# 31.6, 34.2 and 35.6 at N = 11, 19, 23, 31, 37, 41), so 40, the 8-byte
+# slot and a 32-byte int block, is an upper bound.
+_BYTES_PER_PRODUCT = 40
+# Bytes the P^1 scan holds per code pair: its bytearray of marks and the
+# bytes it is joined from (tracemalloc: 2.0-2.2 at N = 9..37), so 3.
+_BYTES_PER_SCANNED_PAIR = 3
 
 
 class FiniteRing:
@@ -152,9 +160,12 @@ class FiniteRing:
         return self._masks
 
     def product_rows(self) -> list[list[int]]:
-        """product_rows()[x][y] is the code of x*y: |R|^2 entries."""
+        """product_rows()[x][y] is the code of x*y: |R|^2 entries, charged
+        against the memory budget before the first row is built."""
         if self._rows is None:
             N, T, Nm = self.N, self.T, self.Nm
+            require_bytes(_BYTES_PER_PRODUCT * N**4,
+                          f"the product table at (d={self.field.d}, N={N})")
             rows = []
             for a in range(N):
                 for b in range(N):
@@ -322,9 +333,12 @@ def projective_line(ring: FiniteRing) -> list[tuple[Elem, Elem]]:
     from the masks, and the units scale through their rows of the product
     table (|R|^2 codes, built here).  O(N^4) work: each pair is scanned
     once, and each point reads 2 * |units| products to mark its orbit.
+    The table and the scan are charged against the memory budget first.
     """
     if len(ring.primes) != 1:
         raise InputError("projective_line is implemented for prime-power N only")
+    require_bytes((_BYTES_PER_PRODUCT + _BYTES_PER_SCANNED_PAIR) * ring.N**4,
+                  f"the P^1 scan at (d={ring.field.d}, N={ring.N})")
     els, masks, rows = ring.elements(), ring.masks(), ring.product_rows()
     scale = [rows[u] for u in range(len(els)) if not masks[u]]
     return [(els[x], els[y]) for x, y in _orbit_minima(masks, scale)]

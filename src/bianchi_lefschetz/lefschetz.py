@@ -69,12 +69,8 @@ def bracket_factor(variant: str, modulus: int, k: int) -> Fraction:
 
 
 class Level(NamedTuple):
-    field: QuadField
     N: int
     factors: tuple[tuple[int, int, str], ...]  # (p, exponent, splitting)
-    j2: int          # exponent of a prime over 2 in the level ideal
-    s: int           # table exponent parameter, see make_level
-    s_mode: str
     A: Fraction
     B: Fraction
     ab_warning: bool  # set when A or B alone is fractional
@@ -124,8 +120,7 @@ def make_level(field: QuadField, N: int, s_mode: str = S_ODD_PRIMES) -> Level:
         raise ConformanceError(f"fixed-surface counts A={A}, B={B} at (d={field.d}, "
                                f"N={N}) are not nonnegative with A + 2B > 0")
     warning = A.denominator != 1 or B.denominator != 1
-    return Level(field=field, N=N, factors=factors, j2=j2, s=s, s_mode=s_mode,
-                 A=A, B=B, ab_warning=warning)
+    return Level(N=N, factors=factors, A=A, B=B, ab_warning=warning)
 
 
 def lefschetz_sigma_principal(field: QuadField, level: Level | int, k: int) -> int:
@@ -174,18 +169,6 @@ def hilbert_at(field: QuadField, a: int, p: int) -> int:
     return hilbert2(a, field.d) if p == 2 else legendre(a, p)
 
 
-class LevelOneLefschetz(NamedTuple):
-    d: int
-    involution: str
-    k: int
-    variant: str
-    value: Fraction
-
-    @property
-    def integral(self) -> bool:
-        return self.value.denominator == 1
-
-
 @lru_cache(maxsize=256)
 def _level_one_coefficients(field: QuadField, involution: str) -> tuple[int, int, int, int, int]:
     """The weight-free integer products of the four-term formula.
@@ -210,7 +193,7 @@ def _level_one_coefficients(field: QuadField, involution: str) -> tuple[int, int
 
 
 def lefschetz_level_one(field: QuadField, involution: str, k: int,
-                        variant: str = DEFAULT_BRACKET) -> LevelOneLefschetz:
+                        variant: str = DEFAULT_BRACKET) -> Fraction:
     """L(rho, SL2(O), E_{k,k}) for rho in {sigma, tau}.
 
     Four exact-rational terms, with sgn = (-1)^k and q = -1 for sigma,
@@ -218,9 +201,8 @@ def lefschetz_level_one(field: QuadField, involution: str, k: int,
     t1 = -q (k+1) c1 / 12, t2 = q sgn (k+1) c2 / 12, t3 = c3 [(k+1)/4] / 2
     and t4 = (first + sgn second) [(k+1)/3] / 3, and L = sgn (t1 + t2 + t3 + t4).
     The integer products come from the memo `_level_one_coefficients`.
-    Non-integral totals are reported through the result rather than
-    raised, because integrality is exactly what adjudicates the bracket
-    readings.
+    A non-integral total is returned rather than raised, because
+    integrality is exactly what adjudicates the bracket readings.
     """
     if involution not in (SIGMA, TAU):
         raise InputError(f"unknown involution {involution!r}")
@@ -235,9 +217,7 @@ def lefschetz_level_one(field: QuadField, involution: str, k: int,
     num = (q * (k + 1) * (sgn * c2 - c1) * d4 * d3
            + 6 * c3 * b4.numerator * d3
            + 4 * (first + sgn * second) * b3.numerator * d4)
-    value = Fraction(sgn * num, 12 * d4 * d3)
-    return LevelOneLefschetz(d=field.d, involution=involution, k=k,
-                             variant=variant, value=value)
+    return Fraction(sgn * num, 12 * d4 * d3)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +226,7 @@ def lefschetz_level_one(field: QuadField, involution: str, k: int,
 
 
 class VariantRecord:
-    def __init__(self, variant: str) -> None:
-        self.variant = variant
+    def __init__(self) -> None:
         self.integrality_failures: list[tuple[int, str, int, str]] = []
         self.parity_failures_even: list[tuple[int, int]] = []
         self.parity_failures_odd: list[tuple[int, int]] = []
@@ -261,31 +240,22 @@ class VariantRecord:
                 and not any(k % 2 == 0 for _, _, k, _ in self.integrality_failures))
 
 
-class AdjudicationReport(NamedTuple):
-    k_max: int
-    d_values: tuple[int, ...]
-    records: dict[str, VariantRecord]
-
-    @property
-    def passing_even(self) -> list[str]:
-        return [v for v in BRACKET_VARIANTS if self.records[v].even_ok]
-
-    def summary_lines(self) -> list[str]:
-        lines = []
-        for v in BRACKET_VARIANTS:
-            r = self.records[v]
-            lines.append(
-                f"variant {v}: integrality failures {len(r.integrality_failures)}, "
-                f"even-k parity failures {len(r.parity_failures_even)}, "
-                f"odd-k parity failures {len(r.parity_failures_odd)}, "
-                f"anchor failures {len(r.anchor_failures)}, "
-                f"even-k clean: {r.even_ok}")
-        lines.append(f"variants passing all even-k checks: {self.passing_even}")
-        return lines
+def summary_lines(records: dict[str, VariantRecord]) -> list[str]:
+    """One line per reading, then the readings that pass every even-k check."""
+    lines = [f"variant {v}: integrality failures {len(r.integrality_failures)}, "
+             f"even-k parity failures {len(r.parity_failures_even)}, "
+             f"odd-k parity failures {len(r.parity_failures_odd)}, "
+             f"anchor failures {len(r.anchor_failures)}, "
+             f"even-k clean: {r.even_ok}"
+             for v, r in records.items()]
+    passing = [v for v, r in records.items() if r.even_ok]
+    lines.append(f"variants passing all even-k checks: {passing}")
+    return lines
 
 
-def adjudicate_brackets(fields: list[QuadField], k_max: int) -> AdjudicationReport:
-    """Run every bracket reading over the grid and record what breaks.
+def adjudicate_brackets(fields: list[QuadField], k_max: int) -> dict[str, VariantRecord]:
+    """Run every bracket reading over the grid and record what breaks, one
+    record per reading in BRACKET_VARIANTS order.
 
     Three checks per (variant, d, k): integrality of both Lefschetz
     numbers; for k > 0 the parity constraint
@@ -296,31 +266,28 @@ def adjudicate_brackets(fields: list[QuadField], k_max: int) -> AdjudicationRepo
     picks such a grid).  Odd-k parity is recorded separately: it is an
     open diagnostic, not an acceptance gate.
     """
-    records = {v: VariantRecord(variant=v) for v in BRACKET_VARIANTS}
-    for variant in BRACKET_VARIANTS:
-        rec = records[variant]
+    records = {v: VariantRecord() for v in BRACKET_VARIANTS}
+    for variant, rec in records.items():
         for f in fields:
             anchor_sigma = 2 + f.h - two_torsion_count(f)
             anchor_tau = 2 - f.h - two_torsion_count(f)
             for k in range(k_max + 1):
                 ls = lefschetz_level_one(f, SIGMA, k, variant)
                 lt = lefschetz_level_one(f, TAU, k, variant)
-                for r in (ls, lt):
-                    if not r.integral:
-                        rec.integrality_failures.append(
-                            (f.d, r.involution, k, str(r.value)))
+                for involution, value in ((SIGMA, ls), (TAU, lt)):
+                    if value.denominator != 1:
+                        rec.integrality_failures.append((f.d, involution, k, str(value)))
                 if k == 0:
-                    if ls.value != anchor_sigma:
-                        rec.anchor_failures.append((f.d, SIGMA, str(ls.value)))
-                    if lt.value != anchor_tau:
-                        rec.anchor_failures.append((f.d, TAU, str(lt.value)))
+                    if ls != anchor_sigma:
+                        rec.anchor_failures.append((f.d, SIGMA, str(ls)))
+                    if lt != anchor_tau:
+                        rec.anchor_failures.append((f.d, TAU, str(lt)))
                     continue
-                total = ls.value + lt.value
+                total = ls + lt
                 parity_ok = total.denominator == 1 and (total + 2**f.t) % 4 == 0
                 if not parity_ok:
                     if k % 2 == 0:
                         rec.parity_failures_even.append((f.d, k))
                     else:
                         rec.parity_failures_odd.append((f.d, k))
-    return AdjudicationReport(k_max=k_max, d_values=tuple(f.d for f in fields),
-                              records=records)
+    return records

@@ -115,21 +115,21 @@ def test_criterion_07_level_one_anchors():
             want_sigma = 2 + f.h - two_torsion_count(f)
             want_tau = 2 - f.h - two_torsion_count(f)
             for variant in BRACKET_VARIANTS:
-                assert lefschetz_level_one(f, "sigma", 0, variant).value == want_sigma
-                assert lefschetz_level_one(f, "tau", 0, variant).value == want_tau
-        assert lefschetz_level_one(FIELDS[-2], "sigma", 0).value == 2
-        assert lefschetz_level_one(FIELDS[-2], "tau", 0).value == 0
-        assert lefschetz_level_one(FIELDS[-5], "sigma", 0).value == 2
-        assert lefschetz_level_one(FIELDS[-7], "sigma", 0).value == 2
+                assert lefschetz_level_one(f, "sigma", 0, variant) == want_sigma
+                assert lefschetz_level_one(f, "tau", 0, variant) == want_tau
+        assert lefschetz_level_one(FIELDS[-2], "sigma", 0) == 2
+        assert lefschetz_level_one(FIELDS[-2], "tau", 0) == 0
+        assert lefschetz_level_one(FIELDS[-5], "sigma", 0) == 2
+        assert lefschetz_level_one(FIELDS[-7], "sigma", 0) == 2
 
 
 def test_criterion_08_bracket_adjudication():
     with criterion(8, "bracket adjudication: rational fails integrality, the "
                       "default passes all even-k checks, odd-k reported only"):
-        report = adjudicate_brackets([FIELDS[d] for d in D_GRID], 24)
-        assert report.records["rational"].integrality_failures
-        assert report.records[DEFAULT_BRACKET].even_ok
-        odd = report.records[DEFAULT_BRACKET].parity_failures_odd
+        records = adjudicate_brackets([FIELDS[d] for d in D_GRID], 24)
+        assert records["rational"].integrality_failures
+        assert records[DEFAULT_BRACKET].even_ok
+        odd = records[DEFAULT_BRACKET].parity_failures_odd
         print(f"      odd-k parity status under {DEFAULT_BRACKET}: "
               f"{len(odd)} deviations, first {odd[0] if odd else None}")
 

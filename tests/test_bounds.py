@@ -63,8 +63,8 @@ class TestCuspLowerBound:
             assert rep.bound == (worst + 1) // 2
 
     def test_rejects_tau_and_ramified_levels(self):
-        with pytest.raises(InputError):
-            cusp_lower_bound(F2, 5, 0, involution="tau")
+        # the bound is for sigma only, and the CLI's --involution refuses tau
+        # (tests/test_cli.py); here the levels it refuses
         with pytest.raises(InputError):
             cusp_lower_bound(F5, 5, 0)     # 5 ramifies, no degree-2 formula
         with pytest.raises(InputError):
@@ -73,31 +73,32 @@ class TestCuspLowerBound:
 
 class TestGL2:
     def test_weight_zero_values(self):
-        assert gl2_trace_sigma1(F2, 0).value == 0
-        assert gl2_trace_sigma1(F5, 0).value == 0
+        assert gl2_trace_sigma1(F2, 0) == 0
+        assert gl2_trace_sigma1(F5, 0) == 0
         # d = -21 carries weight-zero cuspidal classes: the GL2 trace is 1
-        assert gl2_trace_sigma1(make_field(-21), 0).value == 1
-        assert all(gl2_trace_sigma1(make_field(d), 0).integral for d in range(-2, -31, -1)
+        assert gl2_trace_sigma1(make_field(-21), 0) == 1
+        assert all(gl2_trace_sigma1(make_field(d), 0).denominator == 1 for d in range(-2, -31, -1)
                    if d not in (-1, -3) and is_square_free(d))
 
     def test_eventually_nonzero(self):
-        assert gl2_trace_sigma1(F2, 24).value == 1
+        assert gl2_trace_sigma1(F2, 24) == 1
 
     def test_even_weights_integral_under_default(self):
         for f in (F2, F5, F7, F11):
             for k in range(0, 25, 2):
-                tr = gl2_trace_sigma1(f, k)
-                assert tr.integral and not tr.unadjudicated
+                assert gl2_trace_sigma1(f, k).denominator == 1
 
-    def test_odd_weights_tagged_unadjudicated(self):
-        tr = gl2_trace_sigma1(F2, 1)
-        assert tr.unadjudicated
+    def test_odd_weights_tagged_unadjudicated(self, capsys):
+        # the gl2 record carries the tag at odd weights only
+        for k, tagged in ((1, True), (2, False), (3, True)):
+            assert main(["gl2", "--d", "-2", "--k", str(k)]) == 0
+            rec = json.loads(capsys.readouterr().out)
+            assert ("odd weight: bracket reading unadjudicated" in rec["warnings"]) == tagged
 
     def test_non_integral_trace_raises_in_bound(self, capsys):
         # rational brackets break integrality at d=-2, k=2, and the gl2 leaf
         # then refuses the bound
-        tr = gl2_trace_sigma1(F2, 2, RATIONAL)
-        assert not tr.integral
+        assert gl2_trace_sigma1(F2, 2, RATIONAL).denominator != 1
         assert main(["gl2", "--d", "-2", "--k", "2", "--bracket", "rational"]) == 0
         rec = json.loads(capsys.readouterr().out)
         assert "bound" not in rec["result"]

@@ -70,6 +70,15 @@ class TestBoundCommand:
         for key, val in rec["result"].items():
             assert csv_map[f"result.{key}"] == val
 
+    def test_tau_refused_where_only_sigma_is_defined(self, capsys):
+        # the library has no tau branch at principal level; the parser is the guard
+        for command in (["bound"], ["lefschetz", "principal"]):
+            code, out, err = run_cli(capsys, *command, "--d", "-2", "--N", "5", "--k", "0",
+                                     "--involution", "tau")
+            assert code == 1
+            assert not out
+            assert err.startswith("error:") and "'tau'" in err
+
     def test_raising_internal_check_exits_2(self, capsys, monkeypatch):
         # a degree-1 trace off by one makes the exact-mode sum odd, which
         # cusp_lower_bound refuses to halve

@@ -2,7 +2,7 @@ import tracemalloc
 
 import pytest
 
-from bianchi_lefschetz import finitering
+from bianchi_lefschetz import exactmath, finitering
 from bianchi_lefschetz.eisenstein import cusp_count
 from bianchi_lefschetz.exactmath import ConformanceError, InputError
 from bianchi_lefschetz.finitering import (FiniteRing, cusp_count_bruteforce,
@@ -136,6 +136,40 @@ class TestSL2Guard:
         monkeypatch.setattr(finitering, "sl2_order_formula", lambda field, N: 2**30 // 88 + 1)
         with pytest.raises(InputError, match="SL2 listing"):
             enumerate_sl2(FiniteRing(F7, 3))
+
+
+class TestProductTableGuard:
+    def test_charged_before_any_row_is_built(self, monkeypatch):
+        # O/(11) for d = -7: 11^4 codes at 40 bytes each
+        monkeypatch.setattr(exactmath, "MEMORY_BUDGET", 40 * 11**4 - 1)
+        ring = FiniteRing(F7, 11)
+        with pytest.raises(InputError, match="product table"):
+            ring.product_rows()
+        assert ring._rows is None
+        monkeypatch.setattr(exactmath, "MEMORY_BUDGET", 40 * 11**4)
+        assert len(ring.product_rows()) == 11**2
+
+    def test_projective_line_charges_table_and_scan(self, monkeypatch):
+        # 40 bytes per product code and 3 per scanned pair, 11^4 of each
+        monkeypatch.setattr(exactmath, "MEMORY_BUDGET", 43 * 11**4 - 1)
+        ring = FiniteRing(F7, 11)
+        with pytest.raises(InputError, match="P\\^1 scan"):
+            projective_line(ring)
+        assert ring._rows is None
+        monkeypatch.setattr(exactmath, "MEMORY_BUDGET", 43 * 11**4)
+        assert len(projective_line(ring)) == 12 * 12    # 11 splits: P1(F11)^2
+
+    def test_large_level_refused_before_allocating(self):
+        # N = 101: about 4.3 GB of product codes and scan marks
+        ring = FiniteRing(F2, 101)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="P\\^1 scan"):
+                projective_line(ring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestProjectiveLine:

@@ -6,12 +6,12 @@ import pytest
 from bianchi_lefschetz.exactmath import InputError, is_prime, legendre
 from bianchi_lefschetz.lefschetz import (BRACKET_VARIANTS, DEFAULT_BRACKET,
                                          KRONECKER, RATIONAL, S_LITERAL,
-                                         TORSION_CHAR, LevelOneLefschetz,
-                                         _level_one_coefficients, adjudicate_brackets,
-                                         bracket_factor, hilbert_at,
+                                         TORSION_CHAR, _level_one_coefficients,
+                                         adjudicate_brackets, bracket_factor, hilbert_at,
                                          lefschetz_level_one,
                                          lefschetz_sigma_prime_power,
-                                         lefschetz_sigma_principal, make_level)
+                                         lefschetz_sigma_principal, make_level,
+                                         summary_lines)
 from bianchi_lefschetz.quadfield import (SIGMA, TAU, is_square_free, make_field,
                                          two_torsion_count)
 
@@ -37,10 +37,12 @@ class TestRohlfsTable:
 
     def test_literal_s_mode_differs_on_unramified_prime(self):
         # with s counting only odd ramified primes of the level, an inert
-        # odd prime level gets s = 0 instead of 1
+        # odd prime level gets s = 0 instead of 1, so the table exponent
+        # t - s is 1 instead of 0 (d = 1 mod 4: A = 2^(t-s), B = 0)
         default = make_level(F7, 3)
         literal = make_level(F7, 3, s_mode=S_LITERAL)
-        assert (default.s, literal.s) == (1, 0)
+        assert (default.A, default.B) == (1, 0)
+        assert (literal.A, literal.B) == (2, 0)
         assert literal.a_plus_2b == 2 * default.a_plus_2b
 
     def test_rejects_small_levels(self):
@@ -111,25 +113,25 @@ class TestLevelOne:
             want_sigma = 2 + f.h - two_torsion_count(f)
             want_tau = 2 - f.h - two_torsion_count(f)
             for v in BRACKET_VARIANTS:
-                assert lefschetz_level_one(f, "sigma", 0, v).value == want_sigma
-                assert lefschetz_level_one(f, "tau", 0, v).value == want_tau
+                assert lefschetz_level_one(f, "sigma", 0, v) == want_sigma
+                assert lefschetz_level_one(f, "tau", 0, v) == want_tau
 
     def test_concrete_anchor_values(self):
-        assert lefschetz_level_one(F2, "sigma", 0).value == 2
-        assert lefschetz_level_one(F2, "tau", 0).value == 0
-        assert lefschetz_level_one(F5, "sigma", 0).value == 2
-        assert lefschetz_level_one(F7, "sigma", 0).value == 2
+        assert lefschetz_level_one(F2, "sigma", 0) == 2
+        assert lefschetz_level_one(F2, "tau", 0) == 0
+        assert lefschetz_level_one(F5, "sigma", 0) == 2
+        assert lefschetz_level_one(F7, "sigma", 0) == 2
 
     def test_rational_variant_goes_fractional(self):
         res = lefschetz_level_one(F2, "sigma", 2, RATIONAL)
-        assert not res.integral
-        assert res.value == Fraction(53, 24)
+        assert res.denominator != 1
+        assert res == Fraction(53, 24)
 
     def test_default_variant_stays_integral(self):
         for f in GRID:
             for inv in ("sigma", "tau"):
                 for k in range(25):
-                    assert lefschetz_level_one(f, inv, k, DEFAULT_BRACKET).integral
+                    assert lefschetz_level_one(f, inv, k, DEFAULT_BRACKET).denominator == 1
 
 
 def _level_one_ref(field, involution, k, variant=DEFAULT_BRACKET):
@@ -163,9 +165,7 @@ def _level_one_ref(field, involution, k, variant=DEFAULT_BRACKET):
                    for p in field.ramified_primes), start=1)
     t4 = Fraction(1, 3) * (first + sgn * second) * bracket_factor(variant, 3, k)
 
-    value = sgn * (t1 + t2 + t3 + t4)
-    return LevelOneLefschetz(d=field.d, involution=involution, k=k,
-                             variant=variant, value=Fraction(value))
+    return Fraction(sgn * (t1 + t2 + t3 + t4))
 
 
 class TestLevelOneAgainstReference:
@@ -178,7 +178,7 @@ class TestLevelOneAgainstReference:
                     for v in BRACKET_VARIANTS:
                         got = lefschetz_level_one(f, inv, k, v)
                         assert got == _level_one_ref(f, inv, k, v), (f.d, inv, k, v)
-                        assert type(got.value) is Fraction
+                        assert type(got) is Fraction
 
     def test_adjudication_computes_each_product_once(self):
         _level_one_coefficients.cache_clear()
@@ -189,28 +189,29 @@ class TestLevelOneAgainstReference:
 
 class TestAdjudication:
     def test_report_shape(self):
-        report = adjudicate_brackets(list(GRID), 24)
-        rational = report.records[RATIONAL]
+        records = adjudicate_brackets(list(GRID), 24)
+        assert list(records) == list(BRACKET_VARIANTS)
+        rational = records[RATIONAL]
         assert rational.integrality_failures        # recorded, required
         assert (-2, "sigma", 2, "53/24") in rational.integrality_failures
-        assert report.records[DEFAULT_BRACKET].even_ok
-        assert report.passing_even == [TORSION_CHAR]
+        assert records[DEFAULT_BRACKET].even_ok
+        assert summary_lines(records)[-1] == \
+            f"variants passing all even-k checks: {[TORSION_CHAR]}"
         # kronecker survives integrality but not even-weight parity
-        kron = report.records[KRONECKER]
+        kron = records[KRONECKER]
         assert not kron.integrality_failures and kron.parity_failures_even
 
     def test_odd_weight_tension_recorded_not_asserted(self):
-        report = adjudicate_brackets(list(GRID), 24)
-        odd = report.records[DEFAULT_BRACKET].parity_failures_odd
+        records = adjudicate_brackets(list(GRID), 24)
+        odd = records[DEFAULT_BRACKET].parity_failures_odd
         assert (-2, 1) in odd   # the known tension point
         # no reading passes every check once odd weights count
         assert all(r.parity_failures_odd or r.integrality_failures or not r.even_ok
-                   for r in report.records.values())
+                   for r in records.values())
 
     def test_odd_weight_parity_failures_pinned(self):
         # A pin on the current output under torsion-char, not a claim about
         # which side is right: every odd k <= 23 fails for d = -2, -7, -11
         # and none fails for d = -5.
-        report = adjudicate_brackets(list(GRID), 24)
-        odd = report.records[TORSION_CHAR].parity_failures_odd
+        odd = adjudicate_brackets(list(GRID), 24)[TORSION_CHAR].parity_failures_odd
         assert sorted(odd) == [(d, k) for d in (-11, -7, -2) for k in range(1, 24, 2)]

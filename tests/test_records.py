@@ -6,13 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from bianchi_lefschetz.bounds import BoundReport, GL2Trace, cusp_lower_bound, gl2_trace_sigma1
+from bianchi_lefschetz.bounds import BoundReport, cusp_lower_bound
 from bianchi_lefschetz.eisenstein import (LevelOneTraces, SczechOperator, SczechTrace,
                                           level_one_sigma_traces, sczech_trace)
 from bianchi_lefschetz.finitering import CensusReport, FiniteRing, fixed_coset_report
-from bianchi_lefschetz.lefschetz import (AdjudicationReport, Level, LevelOneLefschetz,
-                                         VariantRecord, adjudicate_brackets,
-                                         lefschetz_level_one, make_level)
+from bianchi_lefschetz.lefschetz import Level, VariantRecord, make_level
 from bianchi_lefschetz.quadfield import QuadField, make_field
 from bianchi_lefschetz.verify import SuiteResult
 
@@ -22,13 +20,10 @@ F2 = make_field(-2)
 FROZEN = {
     QuadField: lambda: make_field(-7),
     Level: lambda: make_level(F7, 5),
-    LevelOneLefschetz: lambda: lefschetz_level_one(F7, "sigma", 0),
     LevelOneTraces: lambda: level_one_sigma_traces(F7, 0),
     SczechTrace: lambda: sczech_trace(F2, 3),
     CensusReport: lambda: fixed_coset_report(FiniteRing(F7, 3), "sigma"),
-    GL2Trace: lambda: gl2_trace_sigma1(F7, 0),
     BoundReport: lambda: cusp_lower_bound(F2, 5, 0),
-    AdjudicationReport: lambda: adjudicate_brackets([F7], 2),
 }
 MUTABLE = (SczechOperator, VariantRecord, SuiteResult)
 
@@ -52,7 +47,7 @@ def test_frozen_records_refuse_assignment(cls):
 
 
 def test_mutable_records_own_their_lists():
-    a, b = VariantRecord("a"), VariantRecord("b")
+    a, b = VariantRecord(), VariantRecord()
     for name in ("integrality_failures", "parity_failures_even", "parity_failures_odd",
                  "anchor_failures"):
         getattr(a, name).append(name)
@@ -64,7 +59,7 @@ def test_mutable_records_own_their_lists():
 
 def test_sczech_operator_coerces_its_gram_to_ints():
     rows = [[True, 0, 0, 0], [0, 2.0, 0, 0], [0, 0, Fraction(3), 0], [0, 0, 0, -1]]
-    op = SczechOperator(F2, 3, "symplectic-invdiff", rows)
+    op = SczechOperator(3, rows)
     assert op.gram == ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 3, 0), (0, 0, 0, -1))
     assert all(type(a) is int for row in op.gram for a in row)
     assert type(op.gram) is tuple and all(type(row) is tuple for row in op.gram)

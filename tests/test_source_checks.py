@@ -8,19 +8,24 @@ the memory a cache may hold is fixed before it fills.  `make_field` is one
 of them; a test that patches anything `make_field` calls must call
 `make_field.cache_clear()` first, or it may be served a field built
 before the patch.
+
+No record field is write-only: every field a result carries is read by
+some caller in the library or the demos.
 """
 
 import ast
 
 from test_numpy_free import SRC
 
+DEMOS = SRC.parent / "demos"
 
-def _nodes():
-    files = sorted(SRC.rglob("*.py"))
+
+def _nodes(root=SRC):
+    files = sorted(root.rglob("*.py"))
     assert files
     for path in files:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            yield f"{path.relative_to(SRC)}:{getattr(node, 'lineno', 0)}", node
+            yield f"{path.relative_to(root)}:{getattr(node, 'lineno', 0)}", node
 
 
 def test_no_assert_statements_in_src():
@@ -51,3 +56,35 @@ def test_every_lru_cache_is_bounded():
     memos = list(_memo_decorators())
     assert "make_field" in {name for _, name, _ in memos}    # the scan sees the memos
     assert [f"{where} {name}" for where, name, dec in memos if not _has_int_maxsize(dec)] == []
+
+
+def _record_fields():
+    """(where, class, field) for every `NamedTuple` field and every
+    `self.x = ...` in an `__init__` under `src/`."""
+    for where, node in _nodes():
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if any(getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple"
+               for base in node.bases):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield where, node.name, stmt.target.id
+        for init in node.body:
+            if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+                for sub in ast.walk(init):
+                    if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                            and getattr(sub.value, "id", None) == "self"):
+                        yield where, node.name, sub.attr
+
+
+def test_no_write_only_record_fields():
+    """Each record field is read as an attribute in `src/` or `demos/`.
+
+    The match is by name alone, so an echo field whose name is read on
+    some other object (`d`, say, as `field.d`) passes unseen.
+    """
+    read = {node.attr for root in (SRC, DEMOS) for _, node in _nodes(root)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = list(_record_fields())
+    assert {"BoundReport", "SczechOperator"} <= {cls for _, cls, _ in fields}
+    assert [f"{where} {cls}.{name}" for where, cls, name in fields if name not in read] == []
