@@ -18,7 +18,6 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 from itertools import product
 
 from .bounds import cusp_lower_bound, gl2_trace_sigma1
@@ -38,17 +37,13 @@ class _Parser(argparse.ArgumentParser):
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    if isinstance(x, float):
-        return repr(x)
     return str(x)
 
 
 def _record(query: dict, field: QuadField | None, result: dict,
             warnings: list[str] | None = None, provenance: dict | None = None) -> dict:
+    """The one record; result values are formatted here and a None is dropped."""
+    result = {key: _fmt(val) for key, val in result.items() if val is not None}
     rec = {"query": query, "result": result, "warnings": warnings or [],
            "provenance": provenance or {}}
     if field is not None:
@@ -140,9 +135,8 @@ def _cmd_lefschetz_principal(args, field):
         warnings.append("A or B alone is fractional; only A+2B enters the formula")
     if len(level.factors) > 1:
         warnings.append("composite level: outside the validated prime-power domain")
-    result = {"kind": "lefschetz_principal", "L": _fmt(L),
-              "A": _fmt(level.A), "B": _fmt(level.B),
-              "A_plus_2B": _fmt(level.a_plus_2b)}
+    result = {"kind": "lefschetz_principal", "L": L, "A": level.A, "B": level.B,
+              "A_plus_2B": level.a_plus_2b}
     return result, warnings, {"L": "principal-level Lefschetz number (surface-count table)"}
 
 
@@ -154,7 +148,7 @@ def _cmd_lefschetz_level_one(args, field):
         warnings.append("non-integral Lefschetz number: bracket reading fails here")
     if args.k % 2 == 1:
         warnings.append("odd weight: bracket reading unadjudicated")
-    result = {"kind": "lefschetz_level_one", "L": _fmt(L), "integral": _fmt(integral)}
+    result = {"kind": "lefschetz_level_one", "L": L, "integral": integral}
     return result, warnings, {"L": "level-one four-term Lefschetz formula"}
 
 
@@ -164,13 +158,13 @@ def _cmd_eisenstein_h2(args, field):
     if args.involution == "tau":
         warnings.append("closed formula; the exhaustive coset census can disagree "
                         "(see verify fixedpoints)")
-    return ({"kind": "eisenstein_h2_trace", "trace": _fmt(val)}, warnings,
+    return ({"kind": "eisenstein_h2_trace", "trace": val}, warnings,
             {"trace": "degree-2 Eisenstein trace (unramified level)"})
 
 
 def _cmd_eisenstein_h1(args, field):
     val = trace_sigma_h1_eis(field, args.p, args.n)
-    return ({"kind": "eisenstein_h1_trace", "trace": _fmt(val)}, [],
+    return ({"kind": "eisenstein_h1_trace", "trace": val}, [],
             {"trace": "degree-1 Eisenstein trace via the cocycle span "
                       "(inert prime power, class number one)"})
 
@@ -180,20 +174,17 @@ def _cmd_sczech(args, field):
     tr = op.trace()
     if args.emit_matrix:
         write_matrix_dump(op, args.emit_matrix)
-    result = {"kind": "sczech_trace", "trace_re": _fmt(tr.real), "trace_im": _fmt(tr.imag),
-              "expected": _fmt(-(args.N**2 + 1)),
-              "involution_defect": _fmt(op.involution_defect()), "size": _fmt(args.N**4 - 1)}
+    result = {"kind": "sczech_trace", "trace_re": tr.real, "trace_im": tr.imag,
+              "expected": -(args.N**2 + 1), "involution_defect": op.involution_defect(),
+              "size": args.N**4 - 1}
     return result, [], {"trace_re": "conjugation operator on the span of Sczech cocycles"}
 
 
 def _cmd_bound(args, field):
     rep = cusp_lower_bound(field, args.N, args.k)   # --involution admits sigma only
-    result = {"kind": "cusp_lower_bound", "bound": _fmt(rep.bound), "mode": rep.mode,
-              "L": _fmt(rep.L), "tr0": _fmt(rep.tr0), "tr2_eis": _fmt(rep.tr2_eis)}
-    if rep.tr1_eis is not None:
-        result["tr1_eis"] = _fmt(rep.tr1_eis)
-    if rep.tr1_window is not None:
-        result["tr1_window"] = _fmt(rep.tr1_window)
+    result = {"kind": "cusp_lower_bound", "bound": rep.bound, "mode": rep.mode, "L": rep.L,
+              "tr0": rep.tr0, "tr2_eis": rep.tr2_eis, "tr1_eis": rep.tr1_eis,
+              "tr1_window": rep.tr1_window}
     return result, rep.warnings, rep.provenance
 
 
@@ -201,10 +192,9 @@ def _cmd_gl2(args, field):
     tr = gl2_trace_sigma1(field, args.k, args.bracket)
     integral = tr.denominator == 1
     warnings = []
-    result = {"kind": "gl2_trace", "trace": _fmt(tr), "integral": _fmt(integral)}
-    if integral:
-        result["bound"] = _fmt(abs(tr.numerator))
-    else:
+    result = {"kind": "gl2_trace", "trace": tr, "integral": integral,
+              "bound": abs(tr.numerator) if integral else None}
+    if not integral:
         warnings.append("non-integral GL2 trace: bracket adjudication failure")
     if args.k % 2 == 1:
         warnings.append("odd weight: bracket reading unadjudicated")
@@ -222,10 +212,10 @@ def _cmd_table(args) -> list[dict]:
             field = make_field(d)
             result, warnings, provenance = _cmd_bound(argparse.Namespace(N=N, k=k), field)
         except (InputError, ConformanceError) as exc:
-            rec = _record(query, None, {"kind": "error", "d": str(d), "N": str(N),
-                                        "k": str(k), "message": str(exc)})
+            rec = _record(query, None, {"kind": "error", "d": d, "N": N, "k": k,
+                                        "message": exc})
         else:
-            result.update(d=str(d), N=str(N), k=str(k))
+            result.update(d=d, N=N, k=k)
             rec = _record(query, field, result, warnings, provenance)
         records.append(rec)
     return records

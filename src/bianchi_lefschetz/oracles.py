@@ -122,21 +122,10 @@ def min_poly_splitting(field: QuadField, p: int) -> str:
     return "inert"
 
 
-def pair_index(vectors: list[tuple[int, int]]) -> int:
-    """Index in Z^2 of the lattice generated by the given vectors.
-
-    Uses the elementary-divisor identity: the index equals the gcd of all
-    2x2 minors (the vectors must span a finite-index sublattice).
-    """
-    g = 0
-    for i in range(len(vectors)):
-        x1, y1 = vectors[i]
-        for j in range(i + 1, len(vectors)):
-            x2, y2 = vectors[j]
-            g = gcd(g, abs(x1 * y2 - y1 * x2))
-    if g == 0:
-        raise InputError("vectors do not span a finite-index sublattice")
-    return g
+def _omega_mult(field: QuadField, v: tuple[int, int]) -> tuple[int, int]:
+    """omega * (x + y*omega) = -Nm*y + (x + T*y)*omega, in coordinates (x, y)."""
+    x, y = v
+    return (-field.omega_norm * y, x + field.omega_trace * y)
 
 
 def is_unimodular_pair_oracle(field: QuadField, N: int, x: tuple[int, int], y: tuple[int, int]) -> bool:
@@ -144,21 +133,19 @@ def is_unimodular_pair_oracle(field: QuadField, N: int, x: tuple[int, int], y: t
 
     The ideal (x, y) of O/(N) is, as a Z-module, generated by x, omega*x,
     y, omega*y together with N*O; the pair is unimodular exactly when that
-    lattice is all of Z^2.
+    lattice is all of Z^2, that is when its Hermite form has index a*c = 1.
     """
-    T, Nm = field.omega_trace, field.omega_norm
-
-    def omega_mult(v):
-        a, b = v
-        return (-Nm * b, a + T * b)
-
-    vecs = [x, omega_mult(x), y, omega_mult(y), (N, 0), (0, N)]
-    return pair_index(vecs) == 1
+    a, _, c = _hnf2([x, _omega_mult(field, x), y, _omega_mult(field, y), (N, 0), (0, N)])
+    return a * c == 1
 
 
 # ---------------------------------------------------------------------------
 # Ideal-lattice class number oracle
 # ---------------------------------------------------------------------------
+
+# An integral O-ideal is its Hermite triple (a, b, c): the Z-basis
+# {a, b + c*omega}, of norm a*c.
+_Triple = tuple[int, int, int]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -168,8 +155,8 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return (g, t, s - (a // b) * t)
 
 
-def _hnf2(vectors: list[tuple[int, int]]) -> tuple[int, int, int]:
-    """Hermite form (a, b, c) of the lattice Z*(a,0) + Z*(b,c), c > 0."""
+def _hnf2(vectors: list[tuple[int, int]]) -> _Triple:
+    """Hermite form (a, b, c) of the lattice Z*(a,0) + Z*(b,c): a, c > 0, 0 <= b < a."""
     cur = (0, 0)
     xs: list[int] = []
     for v in vectors:
@@ -191,28 +178,12 @@ def _hnf2(vectors: list[tuple[int, int]]) -> tuple[int, int, int]:
         a = gcd(a, abs(x))
     if a == 0 or cur[1] == 0:
         raise InputError("vectors do not span a rank-2 lattice")
-    c = abs(cur[1])
-    b = cur[0] % a
-    return (a, b, c)
-
-
-class _Ideal:
-    """Integral O-ideal in Hermite form: Z-basis {a, b + c*omega}."""
-
-    def __init__(self, field: QuadField, a: int, b: int, c: int):
-        self.field = field
-        self.a, self.b, self.c = a, b, c
-
-    @property
-    def norm(self) -> int:
-        return self.a * self.c
-
-    def vectors(self) -> list[tuple[int, int]]:
-        return [(self.a, 0), (self.b, self.c)]
+    x, c = cur if cur[1] > 0 else (-cur[0], -cur[1])
+    return (a, x % a, c)
 
 
 def _omega_stable(field: QuadField, a: int, b: int, c: int) -> bool:
-    T, Nm = field.omega_trace, field.omega_norm
+    """Whether omega maps the lattice of (a, b, c) into itself, i.e. it is an ideal."""
 
     def member(v):
         x, y = v
@@ -221,45 +192,33 @@ def _omega_stable(field: QuadField, a: int, b: int, c: int) -> bool:
         q = y // c
         return (x - q * b) % a == 0
 
-    # omega * a = (0, a);  omega * (b + c omega) = (-Nm c, b + T c)
-    return member((0, a)) and member((-Nm * c, b + T * c))
+    return member(_omega_mult(field, (a, 0))) and member(_omega_mult(field, (b, c)))
 
 
-def _ideal_product(i: _Ideal, j: _Ideal) -> _Ideal:
-    field = i.field
-    T, Nm = field.omega_trace, field.omega_norm
-
-    def mul(u, v):
-        return (u[0] * v[0] - Nm * u[1] * v[1], u[0] * v[1] + u[1] * v[0] + T * u[1] * v[1])
-
-    def omega_mult(v):
-        return (-Nm * v[1], v[0] + T * v[1])
-
+def _ideal_product(field: QuadField, i: _Triple, j: _Triple) -> _Triple:
+    """The products of the two Z-bases already span I*J as a Z-module."""
     gens = []
-    for u in i.vectors():
-        for v in j.vectors():
-            w = mul(u, v)
-            gens.append(w)
-            gens.append(omega_mult(w))
-    a, b, c = _hnf2(gens)
-    return _Ideal(field, a, b, c)
+    for u in ((i[0], 0), (i[1], i[2])):
+        for v in ((j[0], 0), (j[1], j[2])):
+            wv = _omega_mult(field, v)   # u*v = u0*v + u1*(omega*v)
+            gens.append((u[0] * v[0] + u[1] * wv[0], u[0] * v[1] + u[1] * wv[1]))
+    return _hnf2(gens)
 
 
-def _conjugate_ideal(i: _Ideal) -> _Ideal:
-    T = i.field.omega_trace
-    a, b, c = _hnf2([(i.a, 0), (i.b + T * i.c, -i.c)])
-    return _Ideal(i.field, a, b, c)
+def _conjugate_ideal(field: QuadField, i: _Triple) -> _Triple:
+    a, b, c = i
+    return _hnf2([(a, 0), (b + field.omega_trace * c, -c)])
 
 
-def _is_principal(i: _Ideal) -> bool:
+def _is_principal(field: QuadField, i: _Triple) -> bool:
     """An integral ideal is principal iff it contains an element of its norm."""
-    field = i.field
+    a, b, c = i
     T, Nm = field.omega_trace, field.omega_norm
-    n = i.norm
+    n = a * c
     absD = abs(field.D)
     vmax = isqrt(4 * n // absD)
-    for y in range(-(vmax // i.c) - 1, vmax // i.c + 2):
-        v = y * i.c
+    for y in range(-(vmax // c) - 1, vmax // c + 2):
+        v = y * c
         disc = 4 * n - absD * v * v
         if disc < 0:
             continue
@@ -271,7 +230,7 @@ def _is_principal(i: _Ideal) -> bool:
                 continue
             u //= 2
             # u + v*omega must lie in the ideal: u = x*a + y*b
-            if (u - y * i.b) % i.a == 0:
+            if (u - y * b) % a == 0:
                 if u * u + T * u * v + Nm * v * v != n:
                     raise ConformanceError(f"{u} + {v}*omega lies in the ideal but "
                                            f"its norm is not {n}")
@@ -288,7 +247,7 @@ def ideal_class_count(field: QuadField) -> int:
     enumeration.
     """
     bound = int((2 / pi) * sqrt(abs(field.D)))
-    ideals: list[_Ideal] = []
+    ideals: list[_Triple] = []
     for n in range(1, bound + 1):
         for c in range(1, n + 1):
             if n % c:
@@ -296,9 +255,10 @@ def ideal_class_count(field: QuadField) -> int:
             a = n // c
             for b in range(a):
                 if _omega_stable(field, a, b, c):
-                    ideals.append(_Ideal(field, a, b, c))
-    reps: list[_Ideal] = []
+                    ideals.append((a, b, c))
+    reps: list[_Triple] = []
     for ideal in ideals:
-        if not any(_is_principal(_ideal_product(ideal, _conjugate_ideal(r))) for r in reps):
+        if not any(_is_principal(field, _ideal_product(field, ideal, _conjugate_ideal(field, r)))
+                   for r in reps):
             reps.append(ideal)
     return len(reps)

@@ -1,9 +1,10 @@
+import random
 from math import gcd, isqrt
 
 import pytest
 
 from bianchi_lefschetz.exactmath import InputError, is_prime
-from bianchi_lefschetz.oracles import ideal_class_count, min_poly_splitting
+from bianchi_lefschetz.oracles import _hnf2, ideal_class_count, min_poly_splitting
 from bianchi_lefschetz.quadfield import (ambiguous_form_count, is_square_free,
                                          make_field, reduced_forms, splitting_type,
                                          two_torsion_count)
@@ -62,9 +63,48 @@ class TestClassNumber:
         assert sorted(reduced_forms(-23)) == [(1, 1, 6), (2, -1, 3), (2, 1, 3)]
 
     def test_ideal_lattice_oracle(self):
-        for d in (-2, -5, -7, -11, -23):
+        for d in range(-2, -301, -1):
+            if d in (-1, -3) or not is_square_free(d):
+                continue
             f = make_field(d)
-            assert ideal_class_count(f) == f.h
+            assert ideal_class_count(f) == f.h, d
+
+
+class TestHermiteForm:
+    def test_example_with_negative_partner(self):
+        assert _hnf2([(3, 0), (1, -1)]) == (3, 2, 1)
+
+    def test_any_generating_set_gives_the_same_triple(self):
+        rng = random.Random(14)
+        for _ in range(300):
+            a, c = rng.randint(1, 40), rng.randint(1, 40)
+            want = (a, rng.randrange(a), c)
+            basis = [(a, 0), (want[1], c)]
+            for _ in range(rng.randint(1, 4)):     # a random unimodular change of basis
+                i = rng.randrange(2)
+                op = rng.choice(("swap", "negate", "add"))
+                if op == "swap":
+                    basis.reverse()
+                elif op == "negate":
+                    basis[i] = (-basis[i][0], -basis[i][1])
+                else:
+                    m = rng.randint(-5, 5)
+                    u, v = basis[i], basis[1 - i]
+                    basis[i] = (u[0] + m * v[0], u[1] + m * v[1])
+            assert _hnf2(basis) == want, (want, basis)
+            extra = []
+            for _ in range(rng.randint(1, 3)):
+                m, n = rng.randint(-6, 6), rng.randint(-6, 6)
+                extra.append((m * basis[0][0] + n * basis[1][0], m * basis[0][1] + n * basis[1][1]))
+            gens = basis + extra + [(0, 0)]
+            rng.shuffle(gens)
+            assert _hnf2(gens) == want, (want, gens)
+
+    @pytest.mark.parametrize("vectors", [[(2, 4), (-1, -2), (0, 0)], [(3, 0), (5, 0)],
+                                         [(1, 1)], [(0, 0)], []])
+    def test_rank_one_is_refused(self, vectors):
+        with pytest.raises(InputError):
+            _hnf2(vectors)
 
 
 def _reduced_forms_ref(D):

@@ -11,6 +11,10 @@ before the patch.
 
 No record field is write-only: every field a result carries is read by
 some caller in the library or the demos.
+
+The oracles stay independent: `oracles.py` takes from the package only
+its exception classes and the `QuadField` type, so no oracle runs through
+the code it checks.
 """
 
 import ast
@@ -88,3 +92,18 @@ def test_no_write_only_record_fields():
     fields = list(_record_fields())
     assert {"BoundReport", "SczechOperator"} <= {cls for _, cls, _ in fields}
     assert [f"{where} {cls}.{name}" for where, cls, name in fields if name not in read] == []
+
+
+def test_oracles_import_nothing_they_check():
+    path = SRC / "bianchi_lefschetz" / "oracles.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("bianchi_lefschetz")):
+            module = (node.module or "").removeprefix("bianchi_lefschetz").lstrip(".")
+            imported |= {f"{module}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names
+                         if alias.name.startswith("bianchi_lefschetz")}
+    assert imported == {"exactmath.ConformanceError", "exactmath.InputError",
+                        "quadfield.QuadField"}
