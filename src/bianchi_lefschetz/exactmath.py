@@ -9,6 +9,7 @@ matrices.  Nothing in this module touches floating point.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -39,13 +40,20 @@ def require_bytes(need: int, what: str) -> None:
 
 _TRIAL_LIMIT = 10**6
 
-# The primes up to 37: the trial divisors, and a deterministic Miller-Rabin
-# witness set valid for all n < 3.3 * 10^24.
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The primes up to 41: the trial divisors, and a deterministic Miller-Rabin
+# witness set for every n below psi_13 = 3317044064679887385961981, the
+# least strong pseudoprime to all of them.  (The primes up to 37 alone
+# pass psi_12 = 318665857834031151167461 = 399165290221 * 798330580441.)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_WITNESS_LIMIT = 3317044064679887385961981
 
 
+@lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for desk-scale integers."""
+    """Deterministic primality test for n < _WITNESS_LIMIT; larger n are
+    refused, since the witness set no longer decides them."""
+    if n >= _WITNESS_LIMIT:
+        raise InputError(f"is_prime decides n < {_WITNESS_LIMIT} only, got {n}")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -53,8 +61,8 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return n == p
-    if n < 41 * 41:
-        # a composite below 41^2 has a prime factor of at most 37
+    if n < 43 * 43:
+        # a composite below 43^2 has a prime factor of at most 41
         return True
     d, s = n - 1, 0
     while d % 2 == 0:

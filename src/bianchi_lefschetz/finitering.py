@@ -15,7 +15,9 @@ first use and keeps:
 - `product_rows()`: the |R|^2 = N^4 codes of x*y.  Only the censuses that
   already do |R|^2 work build it; the coset census, which runs to N = 49,
   reads the masks alone.
-Every matrix or pair handed back holds the tuples of `elements()`.
+Every pair handed back holds the tuples of `elements()`.  The SL2 listing
+hands back packed codes, four element codes in one int per matrix, and
+`FiniteRing.matrix` decodes one into those tuples.
 
 The censuses are the exhaustive side of dual-route checks: SL2 orders,
 projective lines, unipotent-coset fixed-point counts under the two
@@ -24,9 +26,9 @@ does work in proportion to what it must examine:
 - the SL2 count tallies the |R|^2 products once;
 - the projective line scans the N^4 pairs once, at C speed, and reads
   2 * |units| products per point;
-- the local SL2 listing reads each product row once and does the size of
-  its output; the brute SL2 filter looks up d from (a, b, c) in |R|^3
-  steps;
+- the local SL2 listing reads each product row once and writes its
+  output a block of byte columns at a time; the brute SL2 filter looks up
+  d from (a, b, c) in |R|^3 steps at C speed;
 - the coset census pairs the O(N) fixed first coordinates with the O(N)
   fixed second coordinates;
 - the cusp census pairs the distinct mask values, weighted by how many
@@ -35,9 +37,9 @@ does work in proportion to what it must examine:
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
-from itertools import repeat
-from operator import itemgetter
+from operator import mul
 from typing import NamedTuple
 
 from .eisenstein import fixed_coset_formula
@@ -48,10 +50,15 @@ from .quadfield import (INERT, RAMIFIED, SIGMA, SPLIT, TAU, QuadField,
 Elem = tuple[int, int]
 Mat = tuple[Elem, Elem, Elem, Elem]  # (a, b, c, d) row-major
 
-# Bytes one matrix of the SL2 listing holds: a 4-tuple of shared element
-# tuples and its list slot (tracemalloc: 79-81 at N = 5..11, split, inert
-# and ramified), so 88 is an upper bound.
-_BYTES_PER_MATRIX = 88
+# The SL2 listing codes each element in one byte, so |R| = N^2 <= 256.
+_MAX_LISTED_LEVEL = 16
+# Byte offsets of a, b, c, d in a listed matrix's 4 bytes, so that the
+# native unsigned int they form is a << 24 | b << 16 | c << 8 | d.
+_SLOT_OFFSETS = (0, 1, 2, 3) if sys.byteorder == "big" else (3, 2, 1, 0)
+# Bytes the SL2 listing holds per matrix: its 4-byte code, the spare room
+# of the growing bytearray and one block of columns (tracemalloc: 4.3-6.5
+# at N = 7..13, split, inert and ramified), so 8 is an upper bound.
+_BYTES_PER_MATRIX = 8
 # Bytes one code of the product table holds: its list slot and, past the
 # small ints Python shares, a boxed int (tracemalloc: 8.7, 18.2, 25.5,
 # 31.6, 34.2 and 35.6 at N = 11, 19, 23, 31, 37, 41), so 40, the 8-byte
@@ -131,6 +138,12 @@ class FiniteRing:
     def code(self, x: Elem) -> int:
         """The index of x in elements()."""
         return x[0] % self.N * self.N + x[1] % self.N
+
+    def matrix(self, code: int) -> Mat:
+        """The entries (a, b, c, d), objects of elements(), of a matrix code
+        a << 24 | b << 16 | c << 8 | d of enumerate_sl2."""
+        els = self.elements()
+        return els[code >> 24], els[code >> 16 & 255], els[code >> 8 & 255], els[code & 255]
 
     # -- tables over element codes -------------------------------------------
 
@@ -240,64 +253,89 @@ def sl2_order(ring: FiniteRing) -> int:
     return formula
 
 
-def enumerate_sl2(ring: FiniteRing) -> list[Mat]:
-    """All of SL2(R), every entry an object of ring.elements().
+def _slots(a: int, b: bytes, c: bytes, d: bytes) -> bytearray:
+    """Matrices with first entry a and byte columns b, c, d of equal length,
+    4 bytes each, read as a native unsigned int a << 24 | b << 16 | c << 8 | d."""
+    blk = bytearray(4 * len(d))
+    for off, col in zip(_SLOT_OFFSETS, (bytes((a,)) * len(d), b, c, d)):
+        blk[off::4] = col
+    return blk
 
-    The output, #SL2(R) matrices, is charged against the memory budget
-    before anything is built.  Both branches read the product rows, |R|^2
-    codes made once per ring.  Non-local R: a brute filter in |R|^3 steps.  For
-    each a the d are bucketed by the code of a*d, and each (a, b, c) takes
-    the d in bucket[1 + b*c]; the list is in lexicographic (a, b, c, d)
+
+def enumerate_sl2(ring: FiniteRing) -> memoryview:
+    """All of SL2(R) as packed codes: the matrix (a, b; c, d) of element
+    codes is the unsigned int a << 24 | b << 16 | c << 8 | d, and
+    ring.matrix(code) gives its entries as objects of ring.elements().
+
+    Element codes fit a byte only while |R| = N^2 <= 256, so N > 16 is
+    refused; the output is charged against the memory budget before
+    anything is built.  Both branches read the product rows as bytes, |R|^2
+    codes made once per ring, and write a block of matrices at a time,
+    column by column.  Non-local R: a brute filter in |R|^3 steps.  For each
+    a the d are bucketed by the code of a*d, and each (b, c) takes the d in
+    the bucket of 1 + b*c; the codes come in lexicographic (a, b, c, d)
     order.  Local R: every unimodular column (a, c) has a unit coordinate,
     so it is completed to one matrix (a, b0; c, d0) and the unipotent fibre
     (a, b0 + x*a; c, d0 + x*c) over it is listed for x in code order.  Row
-    y of the product table becomes an itemgetter that picks, for every x,
-    entry x*y of a list; applied to the elements translated by b0 or d0 it
-    gives a fibre's b or d entries, and the four columns are zipped into
-    matrices.  The work is the size of the output, and each product row is
-    read once.
+    y of the product table holds x*y for every x, so a fibre's b or d
+    entries are a row translated by b0 or d0 (one bytes.translate); for a
+    unit a, the d entries of all its fibres are the whole table translated
+    by a^-1.  The work is the size of the output.
     """
-    require_bytes(_BYTES_PER_MATRIX * sl2_order_formula(ring.field, ring.N),
-                  f"the SL2 listing at (d={ring.field.d}, N={ring.N})")
-    els = ring.elements()
-    size = len(els)
-    local = len(ring.primes) == 1 and ring.primes[0][2] in (INERT, RAMIFIED)
-    N, rows = ring.N, ring.product_rows()
-    out: list[Mat] = []
-    if not local:
-        for a, row_a in enumerate(rows):
-            by_product: list[list[Elem]] = [[] for _ in range(size)]
-            for d, p in enumerate(row_a):
-                by_product[p].append(els[d])
-            for b, row_b in enumerate(rows):
-                for c, p in enumerate(row_b):
-                    out.extend((els[a], els[b], els[c], d)
-                               for d in by_product[(p + N) % size])
-        return out
+    N = ring.N
+    if N > _MAX_LISTED_LEVEL:
+        raise InputError(f"the SL2 listing at (d={ring.field.d}, N={N}) needs N <= "
+                         f"{_MAX_LISTED_LEVEL}: it codes each element in one byte")
+    require_bytes(_BYTES_PER_MATRIX * sl2_order_formula(ring.field, N),
+                  f"the SL2 listing at (d={ring.field.d}, N={N})")
+    size = N * N
+    rows = [bytes(row) for row in ring.product_rows()]
+    table = b"".join(rows)                              # code of x*y at x*size + y
+    single = [bytes((k,)) for k in range(size)]
+    out = bytearray()
+    if not (len(ring.primes) == 1 and ring.primes[0][2] in (INERT, RAMIFIED)):
+        # the code of 1 + b*c at b*size + c; adding 1 = (1, 0) adds N to a code
+        targets = table.translate(bytes((v + N) % size for v in range(size)).ljust(256, b"\0"))
+        every_b = [s for s in single for _ in range(size)]
+        every_c = single * size
+        for a in range(size):
+            buckets = [bytearray() for _ in range(size)]
+            for d, p in enumerate(rows[a]):
+                buckets[p].append(d)
+            ds = list(map(buckets.__getitem__, targets))   # the d of each (b, c)
+            counts = list(map(len, ds))
+            out += _slots(a, b"".join(map(mul, every_b, counts)),
+                          b"".join(map(mul, every_c, counts)), b"".join(ds))
+        return memoryview(out).cast("I")
+
+    # rotations[j] is the code of (0, j) + v for every code v; adding (i, 0)
+    # rotates that by i blocks of N
+    rotations = [bytes(i * N + (j + s) % N for i in range(N) for j in range(N))
+                 for s in range(N)]
+
+    def shifted(t: int) -> bytes:
+        # translation table: the code of t + v for every code v (bytes.translate
+        # takes 256 entries)
+        i, j = divmod(t, N)
+        return (rotations[j][i * N:] + rotations[j][:i * N]).ljust(256, b"\0")
+
+    # a unit's row holds 1 (code N) at its inverse and -1 (code size - N) at
+    # minus its inverse
     masks = ring.masks()
-    times = [itemgetter(*row) for row in rows]
-
-    def translated(t: Elem) -> list[Elem]:
-        # els[code(t + v)] for every code v
-        return [els[(t[0] + i) % N * N + (t[1] + j) % N] for i in range(N) for j in range(N)]
-
     units = [k for k in range(size) if not masks[k]]
-    # the elements translated by b0 = -c^-1, for each unit c; used when a
-    # is not a unit
-    minus_inverse = {c: translated(ring.neg(ring.inverse(els[c]))) for c in units}
+    all_cs = b"".join(s * size for s in single)
+    unit_cs = b"".join(single[c] * size for c in units)
+    unit_rows = b"".join(rows[c] for c in units)
+    minus_inverse = [shifted(rows[c].index(size - N)) for c in units]
     for a in range(size):
-        ea = els[a]
         if not masks[a]:
-            bs = times[a](els)                               # b0 = 0
-            inverse_shift = translated(ring.inverse(ea))      # d0 = a^-1
-            for c in range(size):
-                out.extend(zip(repeat(ea, size), bs, repeat(els[c], size),
-                               times[c](inverse_shift)))
+            # b0 = 0, d0 = a^-1, over every c
+            out += _slots(a, rows[a] * size, all_cs, table.translate(shifted(rows[a].index(N))))
         else:
-            for c in units:                                   # d0 = 0
-                out.extend(zip(repeat(ea, size), times[a](minus_inverse[c]),
-                               repeat(els[c], size), times[c](els)))
-    return out
+            # b0 = -c^-1, d0 = 0, over the unit c
+            out += _slots(a, b"".join(rows[a].translate(t) for t in minus_inverse),
+                          unit_cs, unit_rows)
+    return memoryview(out).cast("I")
 
 
 def _orbit_minima(masks: bytes, scale: list) -> list[tuple[int, int]]:

@@ -5,7 +5,8 @@ census's outputs, in order, on the first three fields (d = -2, -5, -6, ...)
 in which the level's prime has the given splitting.  Lists are hashed
 whole, so a change of order fails as surely as a change of value.  The
 digests were recorded from the tuple-based censuses that the integer-coded
-kernel replaced.
+kernel replaced; the coded SL2 listing is hashed decoded, one tuple of
+`elements()` per matrix, as those censuses listed it.
 """
 
 from hashlib import sha256
@@ -135,7 +136,7 @@ def _census(kind, field, N):
     if kind == "projective_line":
         return projective_line(ring)
     if kind == "enumerate_sl2":
-        return enumerate_sl2(ring)
+        return [ring.matrix(code) for code in enumerate_sl2(ring)]
     if kind == "sl2_order":
         return sl2_order(ring)
     return fixed_coset_report(ring, kind.split("_")[1])

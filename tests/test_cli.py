@@ -114,6 +114,15 @@ class TestLefschetzCommands:
         (rec,) = records_of(out)
         assert rec["result"]["L"] == "-2"
 
+    def test_level_of_two_large_primes_is_input_error(self, capsys):
+        # 399165290221 * 798330580441 is a strong pseudoprime to every
+        # prime base up to 37, so it must not be taken for a prime level
+        code, out, err = run_cli(capsys, "lefschetz", "principal", "--d", "-2",
+                                 "--N", "318665857834031151167461", "--k", "0")
+        assert code == 1
+        assert not out
+        assert "composite" in err
+
     def test_principal_warning_preserved(self, capsys):
         _, out, _ = run_cli(capsys, "lefschetz", "principal", "--d", "-2",
                             "--N", "5", "--k", "0")

@@ -288,11 +288,40 @@ def _is_prime_by_miller_rabin(n):
 
 
 def test_is_prime_matches_miller_rabin():
-    # 41^2 = 1681 and 37^2 = 1369 bound the trial-division shortcut
-    assert not is_prime(1681) and not is_prime(37 * 37) and not is_prime(31 * 37)
-    assert is_prime(1667) and is_prime(1693)
+    # 43^2 = 1849 bounds the trial-division shortcut, and 41^2 = 1681 lies
+    # below it
+    assert not is_prime(43 * 43) and not is_prime(41 * 43) and not is_prime(41 * 41)
+    assert not is_prime(37 * 37) and not is_prime(31 * 37)
+    assert is_prime(1667) and is_prime(1693) and is_prime(1847) and is_prime(1861)
     for n in range(-5, 2 * 10**5):
         assert is_prime(n) == _is_prime_by_miller_rabin(n), n
+
+
+def test_is_prime_on_the_strong_pseudoprimes():
+    # psi_12 passes Miller-Rabin for every prime base up to 37, and 41
+    # exposes it; psi_13 passes every base up to 41, so it is refused
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert _is_prime_by_miller_rabin(psi12)
+    assert not is_prime(psi12)
+    assert not is_prime(3317044064679887385961980)          # even, the largest admitted
+    with pytest.raises(InputError):
+        is_prime(3317044064679887385961981)
+    with pytest.raises(InputError):
+        is_prime(10**30)
+
+
+def test_legendre_grid_tests_each_prime_once():
+    # the verify grid: legendre == kronecker for the odd primes below 100
+    primes = [p for p in range(3, 100) if _is_prime_by_miller_rabin(p)]
+    is_prime.cache_clear()
+    assert all(legendre(a, p) == kronecker(a, p) for p in primes for a in range(-200, 201))
+    info = is_prime.cache_info()
+    assert info.misses <= 25 and info.hits >= 24 * 400
+    with pytest.raises(InputError):
+        legendre(3, 15)
+    with pytest.raises(InputError):
+        legendre(3, 15)                 # a cached False still refuses
 
 
 class TestSymPowerTrace:

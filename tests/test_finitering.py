@@ -85,7 +85,7 @@ class TestInvolutionsOnMatrices:
         # sigma conjugates every entry; tau then negates the off-diagonal,
         # which is conjugation by diag(-1, 1)
         ring = FiniteRing(make_field(d), N)
-        group = enumerate_sl2(ring)
+        group = _listed(ring)
         assert len(group) == sl2_order(ring)
         members = set(group)
         for a, b, c, dd in group:
@@ -116,26 +116,64 @@ class TestSL2Order:
                 sl2_order(FiniteRing(f, N))  # raises on disagreement
 
 
+def _peak_of(call):
+    """The tracemalloc peak, in bytes, of call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestSL2Guard:
     def test_refused_before_allocating(self):
-        # 29 is inert in Q(sqrt(-2)): about 5.9e8 matrices, charged some 52 GB
-        ring = FiniteRing(F2, 29)
-        tracemalloc.start()
-        try:
-            with pytest.raises(InputError, match="SL2 listing"):
-                enumerate_sl2(ring)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        # from N = 17 on, element codes no longer fit a byte; 29 is inert in
+        # Q(sqrt(-2)), about 5.9e8 matrices
+        for N in (17, 29):
+            def refused():
+                with pytest.raises(InputError, match="SL2 listing"):
+                    enumerate_sl2(FiniteRing(F2, N))
+            assert _peak_of(refused) < 2**20, N
+
+    @pytest.mark.parametrize("f", [F7, F11, F2])
+    def test_admits_level_16_at_every_splitting(self, monkeypatch, f):
+        # 2 splits for d = -7, is inert for d = -11 and ramifies for d = -2;
+        # the listing stops at its first product row, so nothing is built
+        assert _kind(f, 16) == {F7: SPLIT, F11: INERT, F2: RAMIFIED}[f]
+        assert finitering._BYTES_PER_MATRIX * sl2_order_formula(f, 16) <= exactmath.MEMORY_BUDGET
+
+        class Admitted(Exception):
+            pass
+
+        def stop(ring):
+            raise Admitted
+        monkeypatch.setattr(FiniteRing, "product_rows", stop)
+        with pytest.raises(Admitted):
+            enumerate_sl2(FiniteRing(f, 16))
 
     def test_charged_by_its_output(self, monkeypatch):
-        # the budget holds 1 GiB / 88 bytes, about 1.2e7 matrices
-        monkeypatch.setattr(finitering, "sl2_order_formula", lambda field, N: 2**30 // 88)
+        # the budget holds 1 GiB / _BYTES_PER_MATRIX matrices
+        most = 2**30 // finitering._BYTES_PER_MATRIX
+        monkeypatch.setattr(finitering, "sl2_order_formula", lambda field, N: most)
         assert len(enumerate_sl2(FiniteRing(F7, 3))) == 720
-        monkeypatch.setattr(finitering, "sl2_order_formula", lambda field, N: 2**30 // 88 + 1)
+        monkeypatch.setattr(finitering, "sl2_order_formula", lambda field, N: most + 1)
         with pytest.raises(InputError, match="SL2 listing"):
             enumerate_sl2(FiniteRing(F7, 3))
+
+    @pytest.mark.parametrize("f,N", [(F2, 7), (F7, 7), (F5, 7), (F7, 9), (F2, 13)])
+    def test_charge_bounds_the_peak(self, f, N):
+        # inert, ramified, split, inert, inert; the ring is fresh, so the
+        # peak includes its product table
+        ring = FiniteRing(f, N)
+        n = sl2_order_formula(f, N)
+        assert _peak_of(lambda: enumerate_sl2(ring)) <= finitering._BYTES_PER_MATRIX * n
+
+    def test_length_counts_stored_codes(self, monkeypatch):
+        # the guard reads the closed formula, the length never does
+        monkeypatch.setattr(finitering, "sl2_order_formula", lambda field, N: 7)
+        codes = enumerate_sl2(FiniteRing(F7, 3))
+        assert len(codes) == 720 == len(codes.tobytes()) // 4
 
 
 class TestProductTableGuard:
@@ -316,6 +354,11 @@ def _projective_line_ref(ring):
     return sorted(((e[0], e[1]), (e[2], e[3])) for e in reps)
 
 
+def _listed(ring):
+    """enumerate_sl2 decoded: one (a, b, c, d) of elements() per code."""
+    return [ring.matrix(code) for code in enumerate_sl2(ring)]
+
+
 def _enumerate_sl2_ref(ring):
     els = ring.elements()
     return [(a, b, c, d) for a in els for b in els for c in els for d in els
@@ -372,21 +415,30 @@ class TestAgainstReferences:
         # and ramified ones are local rings
         ring = FiniteRing(f, N)
         assert _kind(f, N) == SPLIT
-        assert enumerate_sl2(ring) == _enumerate_sl2_ref(ring)
+        assert _listed(ring) == _enumerate_sl2_ref(ring)
 
     @pytest.mark.parametrize("f,N", [(F2, 2), (F7, 3), (F5, 2)])
     def test_local_sl2_is_the_same_set(self, f, N):
         ring = FiniteRing(f, N)
-        assert sorted(enumerate_sl2(ring)) == _enumerate_sl2_ref(ring)
+        assert sorted(_listed(ring)) == _enumerate_sl2_ref(ring)
 
     @pytest.mark.parametrize("f,N,kind", [(F2, 5, INERT), (F2, 7, INERT), (F7, 7, RAMIFIED)])
     def test_local_sl2_loop(self, f, N, kind):
         ring = FiniteRing(f, N)
         assert _kind(f, N) == kind
-        got = enumerate_sl2(ring)
+        got = _listed(ring)
         assert got == _enumerate_sl2_local_ref(ring)
         shared = {id(e) for e in ring.elements()}
-        assert all(id(m[1]) in shared and id(m[3]) in shared for m in got)
+        assert all(id(e) in shared for m in got for e in m)
+
+    @pytest.mark.parametrize("f,N", [(F5, 3), (F7, 6)])
+    def test_brute_sl2_codes_ascend(self, f, N):
+        # the brute filter lists in lexicographic (a, b, c, d) order, which
+        # the packing a << 24 | b << 16 | c << 8 | d makes ascending ints;
+        # split and composite levels
+        codes = enumerate_sl2(FiniteRing(f, N))
+        assert codes.format == "I" and codes.itemsize == 4
+        assert list(codes) == sorted(set(codes))
 
     @pytest.mark.parametrize("f,N", [(F2, 3), (F2, 5), (F2, 7), (F2, 9), (F7, 3), (F7, 9),
                                      (F5, 3), (F5, 7), (F2, 11), (F2, 13)])

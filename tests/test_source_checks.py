@@ -15,9 +15,14 @@ some caller in the library or the demos.
 The oracles stay independent: `oracles.py` takes from the package only
 its exception classes and the `QuadField` type, so no oracle runs through
 the code it checks.
+
+Every `.py` under `src/`, `tests/` and `demos/` parses at the Python floor
+that `pyproject.toml` declares, so syntax from a later release fails here
+and not on a user's older interpreter.
 """
 
 import ast
+import re
 
 from test_numpy_free import SRC
 
@@ -107,3 +112,24 @@ def test_oracles_import_nothing_they_check():
                          if alias.name.startswith("bianchi_lefschetz")}
     assert imported == {"exactmath.ConformanceError", "exactmath.InputError",
                         "quadfield.QuadField"}
+
+
+def _python_floor():
+    text = (SRC.parent / "pyproject.toml").read_text()
+    major, minor = re.search(r'requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', text).groups()
+    return int(major), int(minor)
+
+
+def test_sources_parse_at_the_python_floor():
+    floor = _python_floor()
+    assert floor == (3, 10)
+    files = [path for top in ("src", "tests", "demos")
+             for path in sorted((SRC.parent / top).rglob("*.py"))]
+    assert len(files) > 20
+    rejected = []
+    for path in files:
+        try:
+            ast.parse(path.read_text(), str(path), feature_version=floor)
+        except SyntaxError as exc:
+            rejected.append(f"{path.relative_to(SRC.parent)}:{exc.lineno} {exc.msg}")
+    assert rejected == []
