@@ -12,9 +12,15 @@ first use and keeps:
 - `masks()`: one byte per element, bit i set when it lies in the i-th
   maximal ideal (N^2 bytes).  A unit has mask 0, and (x, y) is unimodular
   when masks[x] & masks[y] == 0; `is_unit` and `is_unimodular` read it too.
-- `product_rows()`: the |R|^2 = N^4 codes of x*y.  Only the censuses that
-  already do |R|^2 work build it; the coset census, which runs to N = 49,
-  reads the masks alone.
+- `product_rows()`: one `bytes` row per element x, holding the one-byte
+  codes of x*y for every y (N^4 bytes in all).  Padded to 256 bytes, row
+  x is the `bytes.translate` table that multiplies a string of codes by
+  x.  The rows are built from N^3 translates of N bytes, each shifting a
+  string of multiples by a per-level addition table.  One-byte codes
+  need |R| = N^2 <= 256, so the table, and the projective line and SL2
+  listing that read it, refuse N > 16.  Only the censuses that already
+  do |R|^2 work build it; the coset census, which runs to N = 49, reads
+  the masks alone.
 Every pair handed back holds the tuples of `elements()`.  The SL2 listing
 hands back packed codes, four element codes in one int per matrix, and
 `FiniteRing.matrix` decodes one into those tuples.
@@ -24,8 +30,10 @@ projective lines, unipotent-coset fixed-point counts under the two
 involutions, and cusp counts.  None of them uses a closed formula.  Each
 does work in proportion to what it must examine:
 - the SL2 count tallies the |R|^2 products once;
-- the projective line scans the N^4 pairs once, at C speed, and reads
-  2 * |units| products per point;
+- the projective line scans the |R| codes for the least element of each
+  unit orbit, then, for each such x, the codes again for the least y of
+  each orbit of the stabiliser of x, gathering orbits off the product
+  rows at C speed;
 - the local SL2 listing reads each product row once and writes its
   output a block of byte columns at a time; the brute SL2 filter looks up
   d from (a, b, c) in |R|^3 steps at C speed;
@@ -39,7 +47,8 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from operator import mul
+from functools import lru_cache
+from operator import add, mul
 from typing import NamedTuple
 
 from .eisenstein import fixed_coset_formula
@@ -50,8 +59,9 @@ from .quadfield import (INERT, RAMIFIED, SIGMA, SPLIT, TAU, QuadField,
 Elem = tuple[int, int]
 Mat = tuple[Elem, Elem, Elem, Elem]  # (a, b, c, d) row-major
 
-# The SL2 listing codes each element in one byte, so |R| = N^2 <= 256.
-_MAX_LISTED_LEVEL = 16
+# The product table, the P^1 scan and the SL2 listing code each element in
+# one byte, so |R| = N^2 <= 256.
+_MAX_CODED_LEVEL = 16
 # Byte offsets of a, b, c, d in a listed matrix's 4 bytes, so that the
 # native unsigned int they form is a << 24 | b << 16 | c << 8 | d.
 _SLOT_OFFSETS = (0, 1, 2, 3) if sys.byteorder == "big" else (3, 2, 1, 0)
@@ -59,14 +69,35 @@ _SLOT_OFFSETS = (0, 1, 2, 3) if sys.byteorder == "big" else (3, 2, 1, 0)
 # of the growing bytearray and one block of columns (tracemalloc: 4.3-6.5
 # at N = 7..13, split, inert and ramified), so 8 is an upper bound.
 _BYTES_PER_MATRIX = 8
-# Bytes one code of the product table holds: its list slot and, past the
-# small ints Python shares, a boxed int (tracemalloc: 8.7, 18.2, 25.5,
-# 31.6, 34.2 and 35.6 at N = 11, 19, 23, 31, 37, 41), so 40, the 8-byte
-# slot and a 32-byte int block, is an upper bound.
-_BYTES_PER_PRODUCT = 40
-# Bytes the P^1 scan holds per code pair: its bytearray of marks and the
-# bytes it is joined from (tracemalloc: 2.0-2.2 at N = 9..37), so 3.
-_BYTES_PER_SCANNED_PAIR = 3
+# Bytes the product table holds per product: one byte of its row, plus,
+# spread over the N^4 products, each row's header and list slot and the
+# level's N^2 addition tables of 256 bytes (tracemalloc: 4.5, 3.5 and 2.6
+# at N = 11, 13 and 16, split, inert and ramified alike), so 5 bounds it
+# from N = 11 on.  Below that the fixed part is more per product, but the
+# whole table is under 60 KB.
+_BYTES_PER_PRODUCT = 5
+
+
+def _admit(ring: FiniteRing, what: str, need: int) -> None:
+    """Refuse `what` past N = 16, where element codes outgrow a byte, or
+    when its `need` bytes exceed the memory budget: before allocating."""
+    where = f"{what} at (d={ring.field.d}, N={ring.N})"
+    if ring.N > _MAX_CODED_LEVEL:
+        raise InputError(f"{where} needs N <= {_MAX_CODED_LEVEL}: "
+                         "it codes each element in one byte")
+    require_bytes(need, where)
+
+
+@lru_cache(maxsize=16)                  # one per level N <= _MAX_CODED_LEVEL
+def _sum_tables(N: int) -> tuple[bytes, ...]:
+    """_sum_tables(N)[t] maps every code v to the code of t + v, padded to
+    the 256 entries `bytes.translate` takes (N <= 16)."""
+    blocks = [bytes(range(i * N, i * N + N)) for i in range(N)]
+    # adding (0, j) rotates each block of N codes by j, adding (i, 0)
+    # rotates the blocks by i
+    rotated = [b"".join(blk[j:] + blk[:j] for blk in blocks) for j in range(N)]
+    return tuple((rot[i * N:] + rot[:i * N]).ljust(256, b"\0")
+                 for i in range(N) for rot in rotated)
 
 
 class FiniteRing:
@@ -98,26 +129,9 @@ class FiniteRing:
             self.primes.append((p, e, spl, tuple(roots)))
         self._elements: list[Elem] | None = None
         self._masks: bytes | None = None
-        self._rows: list[list[int]] | None = None
+        self._rows: list[bytes] | None = None
 
     # -- ring operations ----------------------------------------------------
-
-    @property
-    def zero(self) -> Elem:
-        return (0, 0)
-
-    @property
-    def one(self) -> Elem:
-        return (1, 0)
-
-    def add(self, x: Elem, y: Elem) -> Elem:
-        return ((x[0] + y[0]) % self.N, (x[1] + y[1]) % self.N)
-
-    def sub(self, x: Elem, y: Elem) -> Elem:
-        return ((x[0] - y[0]) % self.N, (x[1] - y[1]) % self.N)
-
-    def neg(self, x: Elem) -> Elem:
-        return ((-x[0]) % self.N, (-x[1]) % self.N)
 
     def mul(self, x: Elem, y: Elem) -> Elem:
         # (a + b w)(c + e w) with w^2 = T w - Nm
@@ -172,21 +186,27 @@ class FiniteRing:
             self._masks = bits.to_bytes(N * N, "big")
         return self._masks
 
-    def product_rows(self) -> list[list[int]]:
-        """product_rows()[x][y] is the code of x*y: |R|^2 entries, charged
-        against the memory budget before the first row is built."""
+    def product_rows(self) -> list[bytes]:
+        """product_rows()[x][y] is the code of x*y: one row of |R| = N^2
+        byte codes per element, refused past N = 16 and charged against the
+        memory budget before the first row is built.
+
+        Row x padded to 256 bytes is the translate table of "multiply by x".
+        Its block for c is the codes of e*(x*w) over e, shifted by c*x; the
+        table takes N^3 translates of N bytes.
+        """
         if self._rows is None:
             N, T, Nm = self.N, self.T, self.Nm
-            require_bytes(_BYTES_PER_PRODUCT * N**4,
-                          f"the product table at (d={self.field.d}, N={N})")
-            rows = []
-            for a in range(N):
-                for b in range(N):
-                    # (a + b w)(c + e w) = (a c - Nm b e) + (b c + (a + T b) e) w
-                    m, s = Nm * b, a + T * b
-                    rows.append([(a * c - m * e) % N * N + (b * c + s * e) % N
-                                 for c in range(N) for e in range(N)])
-            self._rows = rows
+            _admit(self, "the product table", _BYTES_PER_PRODUCT * N**4)
+            sums = _sum_tables(N)
+            # multiples[y][e] is the code of e*y: both coordinates scale by e
+            scaled = [bytes(e * q % N for e in range(N)) for q in range(N)]
+            high = [bytes(N * s for s in row) for row in scaled]
+            multiples = [bytes(map(add, high[p], scaled[q])) for p in range(N) for q in range(N)]
+            # (a + b w)(c + e w) = c (a + b w) + e (-Nm b + (a + T b) w)
+            self._rows = [b"".join(map(multiples[-Nm * b % N * N + (a + T * b) % N].translate,
+                                       map(sums.__getitem__, multiples[a * N + b])))
+                          for a in range(N) for b in range(N)]
         return self._rows
 
     # -- units and unimodular pairs ------------------------------------------
@@ -199,23 +219,6 @@ class FiniteRing:
         when no maximal ideal holds both coordinates."""
         masks = self.masks()
         return not masks[self.code(x)] & masks[self.code(y)]
-
-    def units(self) -> list[Elem]:
-        els = self.elements()
-        return [els[k] for k, m in enumerate(self.masks()) if not m]
-
-    def inverse(self, x: Elem) -> Elem:
-        """x^-1 = sigma(x) * Nm(x)^-1, where Nm(x) = x * sigma(x) lies in Z/N."""
-        n = self.mul(x, self.sigma(x))[0]
-        try:
-            n_inv = pow(n, -1, self.N)
-        except ValueError:
-            raise InputError(f"{x} is not a unit of O/({self.N})") from None
-        inv = self.mul(self.sigma(x), (n_inv, 0))
-        if self.mul(x, inv) != self.one:
-            raise ConformanceError(f"sigma(x) / Nm(x) does not invert x = {x} "
-                                   f"in O/({self.N})")
-        return inv
 
 
 # -- orders and enumerations ---------------------------------------------------
@@ -283,19 +286,15 @@ def enumerate_sl2(ring: FiniteRing) -> memoryview:
     by a^-1.  The work is the size of the output.
     """
     N = ring.N
-    if N > _MAX_LISTED_LEVEL:
-        raise InputError(f"the SL2 listing at (d={ring.field.d}, N={N}) needs N <= "
-                         f"{_MAX_LISTED_LEVEL}: it codes each element in one byte")
-    require_bytes(_BYTES_PER_MATRIX * sl2_order_formula(ring.field, N),
-                  f"the SL2 listing at (d={ring.field.d}, N={N})")
+    _admit(ring, "the SL2 listing", _BYTES_PER_MATRIX * sl2_order_formula(ring.field, N))
     size = N * N
-    rows = [bytes(row) for row in ring.product_rows()]
+    rows, sums = ring.product_rows(), _sum_tables(N)
     table = b"".join(rows)                              # code of x*y at x*size + y
     single = [bytes((k,)) for k in range(size)]
     out = bytearray()
     if not (len(ring.primes) == 1 and ring.primes[0][2] in (INERT, RAMIFIED)):
-        # the code of 1 + b*c at b*size + c; adding 1 = (1, 0) adds N to a code
-        targets = table.translate(bytes((v + N) % size for v in range(size)).ljust(256, b"\0"))
+        # the code of 1 + b*c at b*size + c; 1 = (1, 0) has code N
+        targets = table.translate(sums[N])
         every_b = [s for s in single for _ in range(size)]
         every_c = single * size
         for a in range(size):
@@ -308,17 +307,6 @@ def enumerate_sl2(ring: FiniteRing) -> memoryview:
                           b"".join(map(mul, every_c, counts)), b"".join(ds))
         return memoryview(out).cast("I")
 
-    # rotations[j] is the code of (0, j) + v for every code v; adding (i, 0)
-    # rotates that by i blocks of N
-    rotations = [bytes(i * N + (j + s) % N for i in range(N) for j in range(N))
-                 for s in range(N)]
-
-    def shifted(t: int) -> bytes:
-        # translation table: the code of t + v for every code v (bytes.translate
-        # takes 256 entries)
-        i, j = divmod(t, N)
-        return (rotations[j][i * N:] + rotations[j][:i * N]).ljust(256, b"\0")
-
     # a unit's row holds 1 (code N) at its inverse and -1 (code size - N) at
     # minus its inverse
     masks = ring.masks()
@@ -326,11 +314,11 @@ def enumerate_sl2(ring: FiniteRing) -> memoryview:
     all_cs = b"".join(s * size for s in single)
     unit_cs = b"".join(single[c] * size for c in units)
     unit_rows = b"".join(rows[c] for c in units)
-    minus_inverse = [shifted(rows[c].index(size - N)) for c in units]
+    minus_inverse = [sums[rows[c].index(size - N)] for c in units]
     for a in range(size):
         if not masks[a]:
             # b0 = 0, d0 = a^-1, over every c
-            out += _slots(a, rows[a] * size, all_cs, table.translate(shifted(rows[a].index(N))))
+            out += _slots(a, rows[a] * size, all_cs, table.translate(sums[rows[a].index(N)]))
         else:
             # b0 = -c^-1, d0 = 0, over the unit c
             out += _slots(a, b"".join(rows[a].translate(t) for t in minus_inverse),
@@ -338,48 +326,51 @@ def enumerate_sl2(ring: FiniteRing) -> memoryview:
     return memoryview(out).cast("I")
 
 
-def _orbit_minima(masks: bytes, scale: list) -> list[tuple[int, int]]:
-    """The least code pair of each unit orbit of unimodular pairs, in order.
+def _least_of_orbits(marked: bytearray, rows: list[bytes], group: list[int]) -> list[int]:
+    """The least code of each orbit of `group`, element codes acting by
+    multiplication, among the codes that `marked` leaves 0, in order.
 
-    masks[k] holds the maximal-ideal bits of code k, and `scale` has one
-    row per unit u with row[k] the code of u*k.  A bytearray over all pairs
-    starts with the non-unimodular ones marked.  In lexicographic order the
-    next unmarked pair (a C-level find) is the least of its orbit, so it is
-    kept and its |units| members are marked: 2 * |units| reads of `scale`
-    per orbit, the pairs are scanned once.
+    The codes marked beforehand must be a union of orbits.  The next
+    unmarked code (a C-level find) is the least of its orbit; it is kept
+    and its orbit, gathered off its product row, is marked.  So the codes
+    are scanned once and each orbit costs |group| reads.
     """
-    size = len(masks)
-    blocked = {m: bytes(bool(m & other) for other in masks) for m in set(masks)}
-    marked = bytearray(b"".join(blocked[m] for m in masks))
-    reps = []
-    pos = marked.find(0)
-    while pos >= 0:
-        x, y = divmod(pos, size)
-        reps.append((x, y))
-        for row in scale:
-            marked[row[x] * size + row[y]] = 1
-        pos = marked.find(0, pos + 1)
-    return reps
+    least = []
+    k = marked.find(0)
+    while k >= 0:
+        least.append(k)
+        for v in map(rows[k].__getitem__, group):       # the code of g*k
+            marked[v] = 1
+        k = marked.find(0, k + 1)
+    return least
 
 
 def projective_line(ring: FiniteRing) -> list[tuple[Elem, Elem]]:
     """Canonical representatives of P^1(O/(N)) for prime-power N, sorted.
 
     A point is a unimodular pair up to unit scaling; its representative is
-    the minimum of the orbit in code order, found as the first pair of the
-    orbit in a lexicographic scan of the codes.  Unimodularity is read
-    from the masks, and the units scale through their rows of the product
-    table (|R|^2 codes, built here).  O(N^4) work: each pair is scanned
-    once, and each point reads 2 * |units| products to mark its orbit.
-    The table and the scan are charged against the memory budget first.
+    the least pair of its orbit in code order.  The orbit members with the
+    least first coordinate are (x, s*y) for s in the stabiliser of x, so
+    (x, y) is a representative exactly when x is the least of its unit
+    orbit and y the least of its orbit under that stabiliser.  Both are
+    scans over the |R| codes, the second once per unit orbit of R (a few
+    for a prime power), reading multiples off the product rows.  The table
+    (|R|^2 codes, built here) is charged against the memory budget first,
+    and N > 16 is refused.
     """
     if len(ring.primes) != 1:
         raise InputError("projective_line is implemented for prime-power N only")
-    require_bytes((_BYTES_PER_PRODUCT + _BYTES_PER_SCANNED_PAIR) * ring.N**4,
-                  f"the P^1 scan at (d={ring.field.d}, N={ring.N})")
+    _admit(ring, "the P^1 scan", _BYTES_PER_PRODUCT * ring.N**4)
     els, masks, rows = ring.elements(), ring.masks(), ring.product_rows()
-    scale = [rows[u] for u in range(len(els)) if not masks[u]]
-    return [(els[x], els[y]) for x, y in _orbit_minima(masks, scale)]
+    units = [k for k, m in enumerate(masks) if not m]
+    points = []
+    for x in _least_of_orbits(bytearray(len(masks)), rows, units):
+        stabiliser = [u for u in units if rows[x][u] == x]
+        # unimodularity with x is kept by unit scaling, so the y it rules
+        # out are whole orbits
+        marked = bytearray(bool(masks[x] & m) for m in masks)
+        points += [(els[x], els[y]) for y in _least_of_orbits(marked, rows, stabiliser)]
+    return points
 
 
 def fixed_coset_count(ring: FiniteRing, involution: str) -> int:

@@ -98,23 +98,26 @@ def make_field(d: int) -> QuadField:
     if d in (-1, -3):
         raise InputError("d must be a square-free negative integer with d != -1, -3 "
                          "(these fields have extra units)")
-    if not is_square_free(d):
+    # one factorization of |d| gives square-freeness and the primes of D
+    factors = factorize(-d)
+    if any(e > 1 for _, e in factors):
         raise InputError(f"d must be square-free, got {d}")
+    ramified = tuple(p for p, _ in factors)
     if d % 4 == 1:
-        D = d
+        D, D2 = d, 1
         omega_trace, omega_norm = 1, (1 - d) // 4
     else:
-        D = 4 * d
+        # D = 4d: 2 ramifies, and its part of D is 4 for odd d, 8 for even d
+        D, D2 = 4 * d, 8 if d % 2 == 0 else 4
+        if d % 2:
+            ramified = (2,) + ramified
         omega_trace, omega_norm = 0, -d
-    factors = factorize(abs(D))
-    ramified = tuple(p for p, _ in factors)
-    v2 = next((e for p, e in factors if p == 2), 0)
     return QuadField(
         d=d,
         D=D,
         ramified_primes=ramified,
         t=len(ramified),
-        D2=2**v2,
+        D2=D2,
         h=class_number_from_discriminant(D),
         omega_trace=omega_trace,
         omega_norm=omega_norm,

@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from bianchi_lefschetz import eisenstein
 from bianchi_lefschetz.bounds import cusp_lower_bound
 from bianchi_lefschetz.eisenstein import (CHARACTER_VARIANTS, DEFAULT_VARIANT,
                                           INVERSE_DIFFERENT, LITERAL_D,
@@ -263,6 +264,23 @@ class TestSczechOperator:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("f", [F2, F7])
+    def test_charge_bounds_the_peak(self, f):
+        # A first run fills the interpreter's tuple free lists, which
+        # tracemalloc goes on counting as held, so the traced run is the second.
+        def run():
+            op = sczech_operator(f, 30, DEFAULT_VARIANT)
+            op.trace()
+            op.involution_defect()
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= eisenstein._BYTES_PER_PAIR * 30**2
 
     def test_matrix_dump_byte_identical_to_dense(self, tmp_path):
         for N in (2, 3, 4):

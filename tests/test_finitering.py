@@ -4,7 +4,7 @@ import pytest
 
 from bianchi_lefschetz import exactmath, finitering
 from bianchi_lefschetz.eisenstein import cusp_count
-from bianchi_lefschetz.exactmath import ConformanceError, InputError
+from bianchi_lefschetz.exactmath import InputError
 from bianchi_lefschetz.finitering import (FiniteRing, cusp_count_bruteforce,
                                           enumerate_sl2, fixed_coset_count,
                                           fixed_coset_report, projective_line,
@@ -45,7 +45,7 @@ class TestRingBasics:
         for f, N in ((F2, 4), (F2, 6), (F7, 3), (F5, 5), (F11, 9), (F7, 10), (F5, 12)):
             ring = FiniteRing(f, N)
             for x in ring.elements():
-                assert ring.is_unit(x) == is_unimodular_pair_oracle(f, N, x, ring.zero)
+                assert ring.is_unit(x) == is_unimodular_pair_oracle(f, N, x, (0, 0))
                 for y in ring.elements():
                     assert ring.is_unimodular(x, y) == \
                         is_unimodular_pair_oracle(f, N, x, y)
@@ -54,29 +54,26 @@ class TestRingBasics:
         # 3, 11, 17, 19 and 41 split in Q(sqrt(-2)): ten maximal ideals
         ring = FiniteRing(F2, 3 * 11 * 17 * 19 * 41)
         with pytest.raises(InputError):
-            ring.is_unit(ring.one)
+            ring.is_unit(ONE)
 
     @pytest.mark.parametrize("f,N", [(F2, 3), (F7, 3), (F2, 5), (F2, 4), (F5, 5),
                                      (F2, 6), (F7, 12)])
     def test_inverse_matches_unit_search(self, f, N):
-        # split, inert, ramified and composite levels
+        # split, inert, ramified and composite levels: a unit's product row
+        # holds 1 (code N) at its inverse, which is where the SL2 listing
+        # reads it
         ring = FiniteRing(f, N)
         want = _inverse_search_ref(ring)
-        assert {u: ring.inverse(u) for u in ring.units()} == want
-        assert len(want) == len(ring.units())
+        els, rows = ring.elements(), ring.product_rows()
+        assert {u: els[rows[ring.code(u)].index(N)] for u in _units(ring)} == want
+        assert len(want) == len(_units(ring))
 
     def test_inverse_refuses_non_units(self):
         ring = FiniteRing(F2, 6)
+        rows = ring.product_rows()
         for x in ((0, 0), (2, 0), (3, 0), (0, 1)):     # (omega) = (sqrt(-2)) lies over 2
             assert not ring.is_unit(x)
-            with pytest.raises(InputError):
-                ring.inverse(x)
-
-    def test_inverse_checks_its_product(self, monkeypatch):
-        ring = FiniteRing(F7, 5)
-        monkeypatch.setattr(ring, "sigma", lambda x: x)    # a wrong conjugation
-        with pytest.raises(ConformanceError):
-            ring.inverse((0, 1))
+            assert ring.N not in rows[ring.code(x)]    # no y with x*y = 1
 
 
 class TestInvolutionsOnMatrices:
@@ -89,11 +86,11 @@ class TestInvolutionsOnMatrices:
         assert len(group) == sl2_order(ring)
         members = set(group)
         for a, b, c, dd in group:
-            assert ring.sub(ring.mul(a, dd), ring.mul(b, c)) == ring.one
+            assert _det(ring, a, b, c, dd) == ONE
             sa, sb, sc, sd = (ring.sigma(e) for e in (a, b, c, dd))
             assert (ring.sigma(sa), ring.sigma(sb), ring.sigma(sc), ring.sigma(sd)) == (a, b, c, dd)
             assert (sa, sb, sc, sd) in members
-            assert (sa, ring.neg(sb), ring.neg(sc), sd) in members
+            assert (sa, _neg(ring, sb), _neg(ring, sc), sd) in members
 
 
 class TestSL2Order:
@@ -107,7 +104,7 @@ class TestSL2Order:
         ring = FiniteRing(F2, 2)
         count = sum(1 for a in ring.elements() for b in ring.elements()
                     for c in ring.elements() for d in ring.elements()
-                    if ring.sub(ring.mul(a, d), ring.mul(b, c)) == ring.one)
+                    if _det(ring, a, b, c, d) == ONE)
         assert count == 48 == sl2_order_formula(F2, 2)
 
     def test_formula_matches_enumeration_on_grid(self):
@@ -178,23 +175,25 @@ class TestSL2Guard:
 
 class TestProductTableGuard:
     def test_charged_before_any_row_is_built(self, monkeypatch):
-        # O/(11) for d = -7: 11^4 codes at 40 bytes each
-        monkeypatch.setattr(exactmath, "MEMORY_BUDGET", 40 * 11**4 - 1)
+        # O/(11) for d = -7: 11^4 codes at _BYTES_PER_PRODUCT bytes each
+        need = finitering._BYTES_PER_PRODUCT * 11**4
+        monkeypatch.setattr(exactmath, "MEMORY_BUDGET", need - 1)
         ring = FiniteRing(F7, 11)
         with pytest.raises(InputError, match="product table"):
             ring.product_rows()
         assert ring._rows is None
-        monkeypatch.setattr(exactmath, "MEMORY_BUDGET", 40 * 11**4)
+        monkeypatch.setattr(exactmath, "MEMORY_BUDGET", need)
         assert len(ring.product_rows()) == 11**2
 
     def test_projective_line_charges_table_and_scan(self, monkeypatch):
-        # 40 bytes per product code and 3 per scanned pair, 11^4 of each
-        monkeypatch.setattr(exactmath, "MEMORY_BUDGET", 43 * 11**4 - 1)
+        # the scan holds O(N^2) marks, so the table's N^4 codes are the charge
+        need = finitering._BYTES_PER_PRODUCT * 11**4
+        monkeypatch.setattr(exactmath, "MEMORY_BUDGET", need - 1)
         ring = FiniteRing(F7, 11)
         with pytest.raises(InputError, match="P\\^1 scan"):
             projective_line(ring)
         assert ring._rows is None
-        monkeypatch.setattr(exactmath, "MEMORY_BUDGET", 43 * 11**4)
+        monkeypatch.setattr(exactmath, "MEMORY_BUDGET", need)
         assert len(projective_line(ring)) == 12 * 12    # 11 splits: P1(F11)^2
 
     def test_large_level_refused_before_allocating(self):
@@ -208,6 +207,35 @@ class TestProductTableGuard:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_level_17_refused_before_allocating(self):
+        # element codes outgrow a byte at N = 17 (inert in Q(sqrt(-7)))
+        ring = FiniteRing(F7, 17)
+
+        def table():
+            with pytest.raises(InputError, match="product table.*N <= 16"):
+                ring.product_rows()
+
+        def line():
+            with pytest.raises(InputError, match="P\\^1 scan.*N <= 16"):
+                projective_line(ring)
+        assert _peak_of(table) < 2**20
+        assert _peak_of(line) < 2**20
+        assert ring._rows is None
+
+    @pytest.mark.parametrize("d,N,kind", [(-7, 11, SPLIT), (-5, 11, INERT), (-11, 11, RAMIFIED),
+                                          (-10, 13, SPLIT), (-2, 13, INERT), (-13, 13, RAMIFIED),
+                                          (-7, 16, SPLIT), (-11, 16, INERT), (-2, 16, RAMIFIED)])
+    def test_charge_bounds_the_peak(self, d, N, kind):
+        # a fresh ring and no cached addition tables, so the peak holds all
+        # the table needs; the P^1 scan adds O(N^2) to it
+        f = make_field(d)
+        assert _kind(f, N) == kind
+        finitering._sum_tables.cache_clear()
+        assert _peak_of(FiniteRing(f, N).product_rows) <= finitering._BYTES_PER_PRODUCT * N**4
+        finitering._sum_tables.cache_clear()
+        ring = FiniteRing(f, N)
+        assert _peak_of(lambda: projective_line(ring)) <= finitering._BYTES_PER_PRODUCT * N**4
 
 
 class TestProjectiveLine:
@@ -233,7 +261,7 @@ class TestProjectiveLine:
             ring = FiniteRing(f, N)
             unimodular = sum(1 for x in ring.elements() for y in ring.elements()
                              if ring.is_unimodular(x, y))
-            assert len(projective_line(ring)) * len(ring.units()) == unimodular
+            assert len(projective_line(ring)) * len(_units(ring)) == unimodular
 
     def test_requires_prime_power(self):
         with pytest.raises(InputError):
@@ -329,15 +357,42 @@ def test_cache_variable_is_ignored(tmp_path, monkeypatch):
 # -- reference copies of the earlier, slower census algorithms ----------------
 
 
+ONE = (1, 0)
+
+
+def _units(ring):
+    els = ring.elements()
+    return [els[k] for k, m in enumerate(ring.masks()) if not m]
+
+
+def _add(ring, x, y):
+    return ((x[0] + y[0]) % ring.N, (x[1] + y[1]) % ring.N)
+
+
+def _neg(ring, x):
+    return (-x[0] % ring.N, -x[1] % ring.N)
+
+
+def _det(ring, a, b, c, d):
+    return _add(ring, ring.mul(a, d), _neg(ring, ring.mul(b, c)))
+
+
+def _product_rows_ref(ring):
+    # the earlier table: N^4 interpreted steps, a list of ints per row
+    N, T, Nm = ring.N, ring.T, ring.Nm
+    return [[(a * c - Nm * b * e) % N * N + (b * c + (a + T * b) * e) % N
+             for c in range(N) for e in range(N)] for a in range(N) for b in range(N)]
+
+
 def _inverse_search_ref(ring):
     # the earlier O(|units|^2) search for each unit's inverse
     inv = {}
-    units = ring.units()
+    units = _units(ring)
     for u in units:
         if u in inv:
             continue
         for v in units:
-            if ring.mul(u, v) == ring.one:
+            if ring.mul(u, v) == ONE:
                 inv[u] = v
                 inv[v] = u
                 break
@@ -345,7 +400,7 @@ def _inverse_search_ref(ring):
 
 
 def _projective_line_ref(ring):
-    units = ring.units()
+    units = _units(ring)
     reps = set()
     for x in ring.elements():
         for y in ring.elements():
@@ -362,22 +417,23 @@ def _listed(ring):
 def _enumerate_sl2_ref(ring):
     els = ring.elements()
     return [(a, b, c, d) for a in els for b in els for c in els for d in els
-            if ring.sub(ring.mul(a, d), ring.mul(b, c)) == ring.one]
+            if _det(ring, a, b, c, d) == ONE]
 
 
 def _enumerate_sl2_local_ref(ring):
     # the earlier local-ring loop: fresh products and tuples for every entry
+    inverse = _inverse_search_ref(ring)
     out = []
     for a in ring.elements():
         for c in ring.elements():
             if not ring.is_unimodular(a, c):
                 continue
             if ring.is_unit(a):
-                b0, d0 = ring.zero, ring.inverse(a)
+                b0, d0 = (0, 0), inverse[a]
             else:
-                b0, d0 = ring.neg(ring.inverse(c)), ring.zero
+                b0, d0 = _neg(ring, inverse[c]), (0, 0)
             for x in ring.elements():
-                out.append((a, ring.add(b0, ring.mul(x, a)), c, ring.add(d0, ring.mul(x, c))))
+                out.append((a, _add(ring, b0, ring.mul(x, a)), c, _add(ring, d0, ring.mul(x, c))))
     return out
 
 
@@ -388,7 +444,7 @@ def _fixed_coset_count_ref(ring, involution):
             continue
         for c in ring.elements():
             sc = ring.sigma(c)
-            want = sc if involution == "sigma" else ring.neg(sc)
+            want = sc if involution == "sigma" else _neg(ring, sc)
             if want == c and ring.is_unimodular(a, c):
                 count += 1
     return count
@@ -401,7 +457,33 @@ def _kind(f, N):
 P1_LEVELS = [(F2, 3), (F2, 4), (F2, 5), (F7, 7), (F2, 9), (F7, 9)]
 
 
+PRODUCT_LEVELS = [(F7, 2, SPLIT), (F7, 3, INERT), (F5, 5, RAMIFIED), (F2, 6, None),
+                  (F7, 12, None), (F5, 15, None), (F2, 11, SPLIT), (F7, 16, SPLIT),
+                  (F11, 16, INERT), (F2, 16, RAMIFIED)]
+
+
 class TestAgainstReferences:
+    @pytest.mark.parametrize("f,N,kind", PRODUCT_LEVELS)
+    def test_product_rows(self, f, N, kind):
+        # prime powers of every splitting and the composite 6, 12 and 15
+        ring = FiniteRing(f, N)
+        if kind:
+            assert _kind(f, N) == kind
+        rows = ring.product_rows()
+        assert {type(row) for row in rows} == {bytes}
+        assert [list(row) for row in rows] == _product_rows_ref(ring)
+
+    @pytest.mark.parametrize("f,N", [(F7, 4), (F2, 5), (F5, 9), (F7, 10)])
+    def test_row_is_the_translate_table_of_its_element(self, f, N):
+        # padded to 256 bytes, row x maps any string of codes to the codes
+        # of x times each
+        ring = FiniteRing(f, N)
+        els, rows = ring.elements(), ring.product_rows()
+        s = bytes(range(len(els)))[::-1] * 2 + bytes((1, 1, 0))
+        for x, row in zip(els, rows):
+            assert s.translate(row.ljust(256, b"\0")) == \
+                bytes(ring.code(ring.mul(x, els[k])) for k in s)
+
     @pytest.mark.parametrize("f,N", P1_LEVELS)
     def test_projective_line(self, f, N):
         assert _projective_line_ref(FiniteRing(f, N)) == projective_line(FiniteRing(f, N))
@@ -449,9 +531,11 @@ class TestAgainstReferences:
                 _fixed_coset_count_ref(ring, involution), involution
 
     def test_projective_line_work_is_linear_in_pairs(self, monkeypatch):
-        # Each orbit reads 2 * |units| products, one per coordinate and unit,
-        # so at most two per unimodular pair.  Taking the orbit minimum of
-        # every pair would read 2 * |units| products per pair, N^6 in all.
+        # Each unit orbit of codes reads |units| products to mark it, and each
+        # first coordinate kept reads |units| more for its stabiliser and a
+        # few per point, far below two per unimodular pair.  Taking the
+        # orbit minimum of every pair would read 2 * |units| products per
+        # pair, N^6 in all.
         ring = FiniteRing(F2, 11)
         unimodular = sum(1 for x in ring.elements() for y in ring.elements()
                          if ring.is_unimodular(x, y))
@@ -472,21 +556,32 @@ class TestAgainstReferences:
 
 
 def _count_products(monkeypatch):
-    """Count the products the censuses read from FiniteRing.product_rows:
-    one per entry looked up, a whole row per pass over it."""
+    """Count the Python-level reads the censuses make of the byte rows of
+    FiniteRing.product_rows: one per entry looked up, a whole row per pass
+    of Python iteration over it, and one per call that hands the whole
+    row to C (translate, index, repeat)."""
     count = [0]
 
-    class Row:
-        def __init__(self, row):
-            self.row = row
-
+    class Row(bytes):
         def __getitem__(self, k):
-            count[0] += 1
-            return self.row[k]
+            count[0] += 1 if isinstance(k, int) else len(range(*k.indices(len(self))))
+            return bytes.__getitem__(self, k)
 
         def __iter__(self):
-            count[0] += len(self.row)
-            return iter(self.row)
+            count[0] += len(self)
+            return bytes.__iter__(self)
+
+        def translate(self, table):
+            count[0] += 1
+            return bytes.translate(self, table)
+
+        def index(self, v):
+            count[0] += 1
+            return bytes.index(self, v)
+
+        def __mul__(self, n):
+            count[0] += 1
+            return bytes.__mul__(self, n)
 
     real = FiniteRing.product_rows
     monkeypatch.setattr(FiniteRing, "product_rows", lambda self: [Row(r) for r in real(self)])

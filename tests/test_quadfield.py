@@ -3,7 +3,8 @@ from math import gcd, isqrt
 
 import pytest
 
-from bianchi_lefschetz.exactmath import InputError, is_prime
+from bianchi_lefschetz import exactmath, quadfield
+from bianchi_lefschetz.exactmath import InputError, factorize, is_prime
 from bianchi_lefschetz.oracles import _hnf2, ideal_class_count, min_poly_splitting
 from bianchi_lefschetz.quadfield import (ambiguous_form_count, is_square_free,
                                          make_field, reduced_forms, splitting_type,
@@ -31,6 +32,36 @@ class TestMakeField:
     def test_rejects_nonnegative_and_nonsquarefree(self, bad):
         with pytest.raises(InputError):
             make_field(bad)
+
+
+    def test_invariants_match_the_factorization_of_D(self):
+        for d in range(-2, -400, -1):
+            if d in (-1, -3) or not is_square_free(d):
+                continue
+            f = make_field(d)
+            factors = factorize(-f.D)
+            assert f.ramified_primes == tuple(p for p, _ in factors), d
+            assert f.D2 == 2 ** dict(factors).get(2, 0), d
+
+    @pytest.mark.parametrize("d,good", [(-2 * 3 * 5 * 7 * 11 * 13, True), (-1155, True),
+                                        (-4 * 3 * 5 * 7 * 11 * 13, False), (-9 * 5 * 7, False)])
+    def test_factors_d_once(self, monkeypatch, d, good):
+        # square-freeness, the ramified primes and D2 all come from one
+        # factorization of |d|; a non-square-free d is still refused
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return exactmath.factorize(n)
+        make_field.cache_clear()
+        monkeypatch.setattr(quadfield, "factorize", counted)
+        if good:
+            assert make_field(d).d == d
+        else:
+            with pytest.raises(InputError, match="square-free"):
+                make_field(d)
+        assert calls == [-d]
+        make_field.cache_clear()
 
 
 class TestSplitting:

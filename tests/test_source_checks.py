@@ -16,6 +16,10 @@ The oracles stay independent: `oracles.py` takes from the package only
 its exception classes and the `QuadField` type, so no oracle runs through
 the code it checks.
 
+Every memory charge is measured: each `_BYTES_PER_*` constant under
+`src/` is named by some test, which checks the charge against a traced
+peak or a budget.
+
 Every `.py` under `src/`, `tests/` and `demos/` parses at the Python floor
 that `pyproject.toml` declares, so syntax from a later release fails here
 and not on a user's older interpreter.
@@ -97,6 +101,16 @@ def test_no_write_only_record_fields():
     fields = list(_record_fields())
     assert {"BoundReport", "SczechOperator"} <= {cls for _, cls, _ in fields}
     assert [f"{where} {cls}.{name}" for where, cls, name in fields if name not in read] == []
+
+
+def test_every_memory_charge_is_named_by_a_test():
+    charges = {target.id for _, node in _nodes() if isinstance(node, ast.Assign)
+               for target in node.targets
+               if isinstance(target, ast.Name) and target.id.startswith("_BYTES_PER_")}
+    assert {"_BYTES_PER_MATRIX", "_BYTES_PER_PRODUCT", "_BYTES_PER_PAIR"} <= charges
+    named = {getattr(node, "attr", getattr(node, "id", None))
+             for _, node in _nodes(SRC.parent / "tests")}
+    assert sorted(charges - named) == []
 
 
 def test_oracles_import_nothing_they_check():
