@@ -11,7 +11,7 @@ The censuses work on element codes k = a*N + b, the index of (a, b) in
 first use and keeps:
 - `masks()`: one byte per element, bit i set when it lies in the i-th
   maximal ideal (N^2 bytes).  A unit has mask 0, and (x, y) is unimodular
-  when masks[x] & masks[y] == 0; `is_unit` and `is_unimodular` read it too.
+  when masks[x] & masks[y] == 0.
 - `product_rows()`: one `bytes` row per element x, holding the one-byte
   codes of x*y for every y (N^4 bytes in all).  Padded to 256 bytes, row
   x is the `bytes.translate` table that multiplies a string of codes by
@@ -35,12 +35,11 @@ does work in proportion to what it must examine:
   each orbit of the stabiliser of x, gathering orbits off the product
   rows at C speed;
 - the local SL2 listing reads each product row once and writes its
-  output a block of byte columns at a time; the brute SL2 filter looks up
-  d from (a, b, c) in |R|^3 steps at C speed;
-- the coset census pairs the O(N) fixed first coordinates with the O(N)
-  fixed second coordinates;
-- the cusp census pairs the distinct mask values, weighted by how many
-  elements carry each.
+  output a block of byte columns at a time; the brute SL2 filter takes,
+  per first entry a, |R| steps and C-level passes over the |R|^2 (b, c);
+- the coset census reads its 2N fixed coordinates off linear conditions,
+  in O(N) steps; it and the cusp census pair the distinct mask values of
+  two coordinate lists, weighted by how many entries carry each.
 """
 
 from __future__ import annotations
@@ -48,7 +47,8 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from functools import lru_cache
-from operator import add, mul
+from itertools import compress
+from operator import add
 from typing import NamedTuple
 
 from .eisenstein import fixed_coset_formula
@@ -131,27 +131,10 @@ class FiniteRing:
         self._masks: bytes | None = None
         self._rows: list[bytes] | None = None
 
-    # -- ring operations ----------------------------------------------------
-
-    def mul(self, x: Elem, y: Elem) -> Elem:
-        # (a + b w)(c + e w) with w^2 = T w - Nm
-        a, b = x
-        c, e = y
-        return ((a * c - self.Nm * b * e) % self.N,
-                (a * e + b * c + self.T * b * e) % self.N)
-
-    def sigma(self, x: Elem) -> Elem:
-        # conj(a + b w) = a + b (T - w)
-        return ((x[0] + self.T * x[1]) % self.N, (-x[1]) % self.N)
-
     def elements(self) -> list[Elem]:
         if self._elements is None:
             self._elements = [(a, b) for a in range(self.N) for b in range(self.N)]
         return self._elements
-
-    def code(self, x: Elem) -> int:
-        """The index of x in elements()."""
-        return x[0] % self.N * self.N + x[1] % self.N
 
     def matrix(self, code: int) -> Mat:
         """The entries (a, b, c, d), objects of elements(), of a matrix code
@@ -209,17 +192,6 @@ class FiniteRing:
                           for a in range(N) for b in range(N)]
         return self._rows
 
-    # -- units and unimodular pairs ------------------------------------------
-
-    def is_unit(self, x: Elem) -> bool:
-        return not self.masks()[self.code(x)]
-
-    def is_unimodular(self, x: Elem, y: Elem) -> bool:
-        """True when the pair (x, y) generates the unit ideal of R, that is
-        when no maximal ideal holds both coordinates."""
-        masks = self.masks()
-        return not masks[self.code(x)] & masks[self.code(y)]
-
 
 # -- orders and enumerations ---------------------------------------------------
 
@@ -256,12 +228,18 @@ def sl2_order(ring: FiniteRing) -> int:
     return formula
 
 
-def _slots(a: int, b: bytes, c: bytes, d: bytes) -> bytearray:
-    """Matrices with first entry a and byte columns b, c, d of equal length,
-    4 bytes each, read as a native unsigned int a << 24 | b << 16 | c << 8 | d."""
-    blk = bytearray(4 * len(d))
-    for off, col in zip(_SLOT_OFFSETS, (bytes((a,)) * len(d), b, c, d)):
-        blk[off::4] = col
+def _slots(a: int, b: bytes, c: bytes, ds: list[bytes]) -> bytearray:
+    """Matrices (a, b[j]; c[j], d[j]) for each slot j and, in turn, each
+    column d of ds, all columns of one length: 4 bytes each, read as a
+    native unsigned int a << 24 | b << 16 | c << 8 | d."""
+    k = len(ds)
+    blk = bytearray(4 * k * len(b))
+    at, bt, ct, dt = _SLOT_OFFSETS
+    blk[at::4] = bytes((a,)) * (k * len(b))
+    for i, d in enumerate(ds):
+        blk[bt + 4 * i::4 * k] = b
+        blk[ct + 4 * i::4 * k] = c
+        blk[dt + 4 * i::4 * k] = d
     return blk
 
 
@@ -274,16 +252,20 @@ def enumerate_sl2(ring: FiniteRing) -> memoryview:
     refused; the output is charged against the memory budget before
     anything is built.  Both branches read the product rows as bytes, |R|^2
     codes made once per ring, and write a block of matrices at a time,
-    column by column.  Non-local R: a brute filter in |R|^3 steps.  For each
-    a the d are bucketed by the code of a*d, and each (b, c) takes the d in
-    the bucket of 1 + b*c; the codes come in lexicographic (a, b, c, d)
-    order.  Local R: every unimodular column (a, c) has a unit coordinate,
-    so it is completed to one matrix (a, b0; c, d0) and the unipotent fibre
-    (a, b0 + x*a; c, d0 + x*c) over it is listed for x in code order.  Row
-    y of the product table holds x*y for every x, so a fibre's b or d
-    entries are a row translated by b0 or d0 (one bytes.translate); for a
-    unit a, the d entries of all its fibres are the whole table translated
-    by a^-1.  The work is the size of the output.
+    column by column.  Non-local R: a brute filter, |R| interpreted steps
+    per first entry a and C-level passes over the |R|^2 slots (b, c).
+    Multiplying by a is additive, so each product a*d it reaches has the
+    same number k = |ker a| of preimages d.  One translate marks the slots
+    whose 1 + b*c is reached; each of them takes its k values of d in code
+    order, the i-th being its 1 + b*c translated by "the i-th preimage of".
+    The codes come in lexicographic (a, b, c, d) order.  Local R: every
+    unimodular column (a, c) has a unit coordinate, so it is completed to
+    one matrix (a, b0; c, d0) and the unipotent fibre (a, b0 + x*a;
+    c, d0 + x*c) over it is listed for x in code order.  Row y of the
+    product table holds x*y for every x, so a fibre's b or d entries are a
+    row translated by b0 or d0 (one bytes.translate); for a unit a, the d
+    entries of all its fibres are the whole table translated by a^-1.  The
+    C-level work is the size of the output, plus |R|^3 for the filter.
     """
     N = ring.N
     _admit(ring, "the SL2 listing", _BYTES_PER_MATRIX * sl2_order_formula(ring.field, N))
@@ -295,16 +277,23 @@ def enumerate_sl2(ring: FiniteRing) -> memoryview:
     if not (len(ring.primes) == 1 and ring.primes[0][2] in (INERT, RAMIFIED)):
         # the code of 1 + b*c at b*size + c; 1 = (1, 0) has code N
         targets = table.translate(sums[N])
-        every_b = [s for s in single for _ in range(size)]
-        every_c = single * size
+        every_c = bytes(range(size)) * size
         for a in range(size):
-            buckets = [bytearray() for _ in range(size)]
-            for d, p in enumerate(rows[a]):
-                buckets[p].append(d)
-            ds = list(map(buckets.__getitem__, targets))   # the d of each (b, c)
-            counts = list(map(len, ds))
-            out += _slots(a, b"".join(map(mul, every_b, counts)),
-                          b"".join(map(mul, every_c, counts)), b"".join(ds))
+            image = bytes(sorted(set(rows[a])))
+            k = size // len(image)
+            # the d sorted by a*d, ties in code order: the k preimages of
+            # image[j] are by_product[j*k:(j+1)*k]
+            by_product = bytes(sorted(range(size), key=rows[a].__getitem__))
+            reached = bytearray(256)
+            for v in image:
+                reached[v] = 1
+            hit = targets.translate(reached)                # 1 at the (b, c) with a d
+            kept = targets.translate(None, bytes(range(256)).translate(None, image))
+            b_col = b"".join([single[b] * hit.count(1, b * size, b * size + size)
+                              for b in range(size)])
+            out += _slots(a, b_col, bytes(compress(every_c, hit)),
+                          [kept.translate(bytes.maketrans(image, by_product[i::k]))
+                           for i in range(k)])
         return memoryview(out).cast("I")
 
     # a unit's row holds 1 (code N) at its inverse and -1 (code size - N) at
@@ -318,11 +307,11 @@ def enumerate_sl2(ring: FiniteRing) -> memoryview:
     for a in range(size):
         if not masks[a]:
             # b0 = 0, d0 = a^-1, over every c
-            out += _slots(a, rows[a] * size, all_cs, table.translate(sums[rows[a].index(N)]))
+            out += _slots(a, rows[a] * size, all_cs, [table.translate(sums[rows[a].index(N)])])
         else:
             # b0 = -c^-1, d0 = 0, over the unit c
             out += _slots(a, b"".join(rows[a].translate(t) for t in minus_inverse),
-                          unit_cs, unit_rows)
+                          unit_cs, [unit_rows])
     return memoryview(out).cast("I")
 
 
@@ -373,6 +362,14 @@ def projective_line(ring: FiniteRing) -> list[tuple[Elem, Elem]]:
     return points
 
 
+def _disjoint_pairs(xs: bytes, ys: bytes) -> int:
+    """#{(x, y) : x in xs, y in ys, x & y == 0} for two strings of unit
+    masks, so the number of unimodular pairs they make: the distinct mask
+    values are paired, weighted by how many entries carry each."""
+    xt, yt = Counter(xs).items(), Counter(ys).items()
+    return sum(m * n for x, m in xt for y, n in yt if not x & y)
+
+
 def fixed_coset_count(ring: FiniteRing, involution: str) -> int:
     """Unipotent cosets of SL2(R) at infinity fixed by the involution.
 
@@ -380,10 +377,12 @@ def fixed_coset_count(ring: FiniteRing, involution: str) -> int:
     columns (a, c); the involution fixes a coset exactly when it fixes the
     column: (sigma a, sigma c) = (a, c) for sigma and
     (sigma a, -sigma c) = (a, c) for tau.  Requires N = p^n with p an odd
-    unramified prime.  One pass over the N^2 element codes collects the
-    masks of the admissible a and c (O(N) of each); their product is then
-    tested pair by pair, O(N^2).  Only the masks are built (N^2 bytes),
-    never the product rows, so levels up to N = 49 stay cheap.
+    unramified prime.  sigma(x + y*w) = (x + T*y) - y*w, and 2 is a unit,
+    so sigma fixes the N elements with y = 0 and -sigma the N with
+    2x = -T*y, one for each y.  Both lists are read off these conditions in
+    O(N) steps, never visiting the other elements, and their masks are
+    paired.  Only the masks are built (N^2 bytes), never the product rows,
+    so levels far past N = 16 stay cheap.
     """
     if involution not in (SIGMA, TAU):
         raise InputError(f"unknown involution {involution!r}")
@@ -392,16 +391,12 @@ def fixed_coset_count(ring: FiniteRing, involution: str) -> int:
     p, _, spl, _ = ring.primes[0]
     if p == 2 or spl == RAMIFIED:
         raise InputError("fixed_coset_count requires an odd unramified prime")
-    N, T, masks = ring.N, ring.T, ring.masks()
-    sign = 1 if involution == SIGMA else -1
-    fixed_a, fixed_c = [], []
-    for k, (a, b) in enumerate(ring.elements()):
-        sa, sb = (a + T * b) % N, -b % N                  # sigma(a + b w)
-        if sa == a and sb == b:
-            fixed_a.append(masks[k])
-        if sign * sa % N == a and sign * sb % N == b:
-            fixed_c.append(masks[k])
-    return sum(1 for ma in fixed_a for mc in fixed_c if not ma & mc)
+    N, masks = ring.N, ring.masks()
+    fixed_a = masks[::N]                                  # the codes x*N + 0
+    if involution == SIGMA:
+        return _disjoint_pairs(fixed_a, fixed_a)
+    slope = -ring.T * ((N + 1) // 2) % N                  # -T/2 mod N
+    return _disjoint_pairs(fixed_a, bytes(masks[slope * y % N * N + y] for y in range(N)))
 
 
 class CensusReport(NamedTuple):
@@ -430,14 +425,17 @@ def fixed_coset_report(ring: FiniteRing, involution: str) -> CensusReport:
 
 
 def cusp_count_bruteforce(field: QuadField, N: int) -> int:
-    """Number of cusps of the level-N principal congruence subgroup,
-    counted as h * #{unimodular columns (a, c) of O/(N)}: the columns are
-    the cosets of the unitriangular group, so this is h * #SL2 / N^2 with
-    no group order.  (a, c) is unimodular when their masks are disjoint, so
-    the distinct mask values are paired, weighted by their multiplicities.
-    N >= 3 keeps -1 out of the subgroup, which the coset counting assumes.
+    """h times the number of unimodular columns (a, c) of O/(N), N >= 3:
+    the cosets of the unitriangular group, so h * #SL2 / N^2 with no group
+    order.  A column is unimodular when its entries' masks are disjoint.
+
+    These are columns, not cusps of Gamma(N): -1 lies in the stabiliser of
+    infinity in PSL2(O), so a cusp is a column up to sign, and at N >= 3 no
+    unimodular column is its own negative (2a = 2c = 0 puts a and c in one
+    maximal ideal).  So the census is twice the number of +-1-classes;
+    which count the records should carry is an open convention.
     """
     if N < 3:
         raise InputError(f"cusp_count_bruteforce requires N >= 3, got {N}")
-    tally = Counter(FiniteRing(field, N).masks()).items()
-    return field.h * sum(m * n for a, m in tally for c, n in tally if not a & c)
+    masks = FiniteRing(field, N).masks()
+    return field.h * _disjoint_pairs(masks, masks)

@@ -21,9 +21,10 @@ class TestRingBasics:
         for f in (F2, F7):
             ring = FiniteRing(f, 5)
             for x in ring.elements():
-                assert ring.sigma(ring.sigma(x)) == x
+                assert _sigma(ring, _sigma(ring, x)) == x
                 for y in ring.elements()[:10]:
-                    assert ring.sigma(ring.mul(x, y)) == ring.mul(ring.sigma(x), ring.sigma(y))
+                    assert _sigma(ring, _mul(ring, x, y)) == \
+                        _mul(ring, _sigma(ring, x), _sigma(ring, y))
 
     def test_crt_splitting_matches_direct_sigma(self):
         # 3 splits in Q(sqrt(-2)): the root map x -> (x mod P, x mod Pbar) is a
@@ -35,9 +36,9 @@ class TestRingBasics:
         for x in ring.elements():
             for y in ring.elements():
                 xm, ym = to_crt(x), to_crt(y)
-                pm = to_crt(ring.mul(x, y))
+                pm = to_crt(_mul(ring, x, y))
                 assert pm == ((xm[0] * ym[0]) % 3, (xm[1] * ym[1]) % 3)
-            assert to_crt(ring.sigma(x)) == to_crt(x)[::-1]
+            assert to_crt(_sigma(ring, x)) == to_crt(x)[::-1]
 
     def test_unimodularity_matches_lattice_oracle(self):
         # every pair, on prime-power and composite levels (6 and 12 mix
@@ -45,16 +46,16 @@ class TestRingBasics:
         for f, N in ((F2, 4), (F2, 6), (F7, 3), (F5, 5), (F11, 9), (F7, 10), (F5, 12)):
             ring = FiniteRing(f, N)
             for x in ring.elements():
-                assert ring.is_unit(x) == is_unimodular_pair_oracle(f, N, x, (0, 0))
+                assert _is_unit(ring, x) == is_unimodular_pair_oracle(f, N, x, (0, 0))
                 for y in ring.elements():
-                    assert ring.is_unimodular(x, y) == \
+                    assert _is_unimodular(ring, x, y) == \
                         is_unimodular_pair_oracle(f, N, x, y)
 
     def test_masks_refuse_more_than_eight_maximal_ideals(self):
         # 3, 11, 17, 19 and 41 split in Q(sqrt(-2)): ten maximal ideals
         ring = FiniteRing(F2, 3 * 11 * 17 * 19 * 41)
         with pytest.raises(InputError):
-            ring.is_unit(ONE)
+            _is_unit(ring, ONE)
 
     @pytest.mark.parametrize("f,N", [(F2, 3), (F7, 3), (F2, 5), (F2, 4), (F5, 5),
                                      (F2, 6), (F7, 12)])
@@ -65,15 +66,15 @@ class TestRingBasics:
         ring = FiniteRing(f, N)
         want = _inverse_search_ref(ring)
         els, rows = ring.elements(), ring.product_rows()
-        assert {u: els[rows[ring.code(u)].index(N)] for u in _units(ring)} == want
+        assert {u: els[rows[_code(ring, u)].index(N)] for u in _units(ring)} == want
         assert len(want) == len(_units(ring))
 
     def test_inverse_refuses_non_units(self):
         ring = FiniteRing(F2, 6)
         rows = ring.product_rows()
         for x in ((0, 0), (2, 0), (3, 0), (0, 1)):     # (omega) = (sqrt(-2)) lies over 2
-            assert not ring.is_unit(x)
-            assert ring.N not in rows[ring.code(x)]    # no y with x*y = 1
+            assert not _is_unit(ring, x)
+            assert ring.N not in rows[_code(ring, x)]    # no y with x*y = 1
 
 
 class TestInvolutionsOnMatrices:
@@ -87,8 +88,8 @@ class TestInvolutionsOnMatrices:
         members = set(group)
         for a, b, c, dd in group:
             assert _det(ring, a, b, c, dd) == ONE
-            sa, sb, sc, sd = (ring.sigma(e) for e in (a, b, c, dd))
-            assert (ring.sigma(sa), ring.sigma(sb), ring.sigma(sc), ring.sigma(sd)) == (a, b, c, dd)
+            sa, sb, sc, sd = (_sigma(ring, e) for e in (a, b, c, dd))
+            assert tuple(_sigma(ring, e) for e in (sa, sb, sc, sd)) == (a, b, c, dd)
             assert (sa, sb, sc, sd) in members
             assert (sa, _neg(ring, sb), _neg(ring, sc), sd) in members
 
@@ -252,7 +253,7 @@ class TestProjectiveLine:
         pts = projective_line(ring)
         assert len(set(pts)) == len(pts)
         for x, y in pts:
-            assert ring.is_unimodular(x, y)
+            assert _is_unimodular(ring, x, y)
 
     def test_orbit_count_cross_check(self):
         # unimodular pairs partition into unit orbits of equal size, so
@@ -260,7 +261,7 @@ class TestProjectiveLine:
         for f, N in ((F7, 3), (F2, 3), (F2, 4)):
             ring = FiniteRing(f, N)
             unimodular = sum(1 for x in ring.elements() for y in ring.elements()
-                             if ring.is_unimodular(x, y))
+                             if _is_unimodular(ring, x, y))
             assert len(projective_line(ring)) * len(_units(ring)) == unimodular
 
     def test_requires_prime_power(self):
@@ -317,6 +318,24 @@ class TestFixedCosets:
         with pytest.raises(InputError):
             fixed_coset_count(FiniteRing(F7, 2), "sigma")
 
+    def test_census_never_visits_the_elements(self, monkeypatch):
+        # at N = 3^6 = 729 the ring has 531441 elements; the census reads
+        # the fixed coordinates off their conditions, so a ring whose
+        # elements() raises still answers, split (d = -2) and inert (d = -7)
+        def refuse(self):
+            raise AssertionError("the coset census listed the elements")
+        monkeypatch.setattr(FiniteRing, "elements", refuse)
+        for f, kind in ((F2, SPLIT), (F7, INERT)):
+            ring = FiniteRing(f, 3**6)
+            assert splitting_type(f, 3) == kind
+            assert fixed_coset_count(ring, "sigma") == 3**12 - 3**10
+            assert fixed_coset_count(ring, "tau") == (3 + 1) * (3**11 - 3**10)
+        # the refusals still hold: p = 2, a ramified p, a composite level
+        for f, N in ((F7, 4), (F2, 8), (F5, 25), (F7, 15), (F2, 45)):
+            for involution in ("sigma", "tau"):
+                with pytest.raises(InputError):
+                    fixed_coset_count(FiniteRing(f, N), involution)
+
 
 class TestCuspCensus:
     def test_frozen_values(self):
@@ -360,6 +379,34 @@ def test_cache_variable_is_ignored(tmp_path, monkeypatch):
 ONE = (1, 0)
 
 
+def _mul(ring, x, y):
+    # (a + b w)(c + e w) with w^2 = T w - Nm
+    a, b = x
+    c, e = y
+    return ((a * c - ring.Nm * b * e) % ring.N,
+            (a * e + b * c + ring.T * b * e) % ring.N)
+
+
+def _sigma(ring, x):
+    # conj(a + b w) = a + b (T - w)
+    return ((x[0] + ring.T * x[1]) % ring.N, (-x[1]) % ring.N)
+
+
+def _code(ring, x):
+    """The index of x in elements()."""
+    return x[0] % ring.N * ring.N + x[1] % ring.N
+
+
+def _is_unit(ring, x):
+    return not ring.masks()[_code(ring, x)]
+
+
+def _is_unimodular(ring, x, y):
+    """True when no maximal ideal holds both coordinates."""
+    masks = ring.masks()
+    return not masks[_code(ring, x)] & masks[_code(ring, y)]
+
+
 def _units(ring):
     els = ring.elements()
     return [els[k] for k, m in enumerate(ring.masks()) if not m]
@@ -374,7 +421,7 @@ def _neg(ring, x):
 
 
 def _det(ring, a, b, c, d):
-    return _add(ring, ring.mul(a, d), _neg(ring, ring.mul(b, c)))
+    return _add(ring, _mul(ring, a, d), _neg(ring, _mul(ring, b, c)))
 
 
 def _product_rows_ref(ring):
@@ -392,7 +439,7 @@ def _inverse_search_ref(ring):
         if u in inv:
             continue
         for v in units:
-            if ring.mul(u, v) == ONE:
+            if _mul(ring, u, v) == ONE:
                 inv[u] = v
                 inv[v] = u
                 break
@@ -404,8 +451,8 @@ def _projective_line_ref(ring):
     reps = set()
     for x in ring.elements():
         for y in ring.elements():
-            if ring.is_unimodular(x, y):
-                reps.add(min((*ring.mul(u, x), *ring.mul(u, y)) for u in units))
+            if _is_unimodular(ring, x, y):
+                reps.add(min((*_mul(ring, u, x), *_mul(ring, u, y)) for u in units))
     return sorted(((e[0], e[1]), (e[2], e[3])) for e in reps)
 
 
@@ -415,9 +462,21 @@ def _listed(ring):
 
 
 def _enumerate_sl2_ref(ring):
+    # every (a, b, c, d) with a*d = 1 + b*c, by pair arithmetic
     els = ring.elements()
-    return [(a, b, c, d) for a in els for b in els for c in els for d in els
-            if _det(ring, a, b, c, d) == ONE]
+    out = []
+    for a in els:
+        ad = [_mul(ring, a, d) for d in els]
+        for b in els:
+            for c in els:
+                want = _add(ring, ONE, _mul(ring, b, c))
+                out += [(a, b, c, d) for d, p in zip(els, ad) if p == want]
+    return out
+
+
+def _has_zero_divisor_row(ring):
+    """Some a has |ker a| > 1: its product row holds 0 more than once."""
+    return any(row.count(0) > 1 for row in ring.product_rows())
 
 
 def _enumerate_sl2_local_ref(ring):
@@ -426,28 +485,43 @@ def _enumerate_sl2_local_ref(ring):
     out = []
     for a in ring.elements():
         for c in ring.elements():
-            if not ring.is_unimodular(a, c):
+            if not _is_unimodular(ring, a, c):
                 continue
-            if ring.is_unit(a):
+            if _is_unit(ring, a):
                 b0, d0 = (0, 0), inverse[a]
             else:
                 b0, d0 = _neg(ring, inverse[c]), (0, 0)
             for x in ring.elements():
-                out.append((a, _add(ring, b0, ring.mul(x, a)), c, _add(ring, d0, ring.mul(x, c))))
+                out.append((a, _add(ring, b0, _mul(ring, x, a)),
+                            c, _add(ring, d0, _mul(ring, x, c))))
     return out
 
 
 def _fixed_coset_count_ref(ring, involution):
     count = 0
     for a in ring.elements():
-        if ring.sigma(a) != a:
+        if _sigma(ring, a) != a:
             continue
         for c in ring.elements():
-            sc = ring.sigma(c)
+            sc = _sigma(ring, c)
             want = sc if involution == "sigma" else _neg(ring, sc)
-            if want == c and ring.is_unimodular(a, c):
+            if want == c and _is_unimodular(ring, a, c):
                 count += 1
     return count
+
+
+def _fixed_coset_scan_ref(ring, involution):
+    # the earlier census: sigma of each of the N^2 elements, O(N) kept
+    N, T, masks = ring.N, ring.T, ring.masks()
+    sign = 1 if involution == "sigma" else -1
+    fixed_a, fixed_c = [], []
+    for k, (a, b) in enumerate(ring.elements()):
+        sa, sb = (a + T * b) % N, -b % N
+        if sa == a and sb == b:
+            fixed_a.append(masks[k])
+        if sign * sa % N == a and sign * sb % N == b:
+            fixed_c.append(masks[k])
+    return sum(1 for ma in fixed_a for mc in fixed_c if not ma & mc)
 
 
 def _kind(f, N):
@@ -455,6 +529,9 @@ def _kind(f, N):
 
 
 P1_LEVELS = [(F2, 3), (F2, 4), (F2, 5), (F7, 7), (F2, 9), (F7, 9)]
+
+
+COSET_LEVELS = [3, 5, 7, 9, 11, 13, 25, 27, 49]
 
 
 PRODUCT_LEVELS = [(F7, 2, SPLIT), (F7, 3, INERT), (F5, 5, RAMIFIED), (F2, 6, None),
@@ -482,7 +559,7 @@ class TestAgainstReferences:
         s = bytes(range(len(els)))[::-1] * 2 + bytes((1, 1, 0))
         for x, row in zip(els, rows):
             assert s.translate(row.ljust(256, b"\0")) == \
-                bytes(ring.code(ring.mul(x, els[k])) for k in s)
+                bytes(_code(ring, _mul(ring, x, els[k])) for k in s)
 
     @pytest.mark.parametrize("f,N", P1_LEVELS)
     def test_projective_line(self, f, N):
@@ -491,12 +568,17 @@ class TestAgainstReferences:
     def test_levels_cover_every_splitting(self):
         assert {_kind(f, N) for f, N in P1_LEVELS} == {SPLIT, INERT, RAMIFIED}
 
-    @pytest.mark.parametrize("f,N", [(F7, 2), (F2, 3), (F5, 3), (F7, 4), (F11, 5)])
+    @pytest.mark.parametrize("f,N", [(F7, 2), (F2, 3), (F5, 3), (F7, 4), (F11, 5),
+                                     (F7, 6), (F2, 6), (F11, 6)])
     def test_brute_sl2_filter(self, f, N):
-        # split prime powers are the ones that take the brute branch; inert
-        # and ramified ones are local rings
+        # split prime powers and composite levels take the brute branch;
+        # inert and ramified prime powers are local rings.  At 6, 2 splits
+        # and 3 is inert for d = -7, 2 ramifies and 3 splits for d = -2, and
+        # 2 is inert and 3 splits for d = -11.  Every level has an a with
+        # |ker a| > 1, each of whose products is listed |ker a| times.
         ring = FiniteRing(f, N)
-        assert _kind(f, N) == SPLIT
+        assert len(ring.primes) == 2 or _kind(f, N) == SPLIT
+        assert _has_zero_divisor_row(ring)
         assert _listed(ring) == _enumerate_sl2_ref(ring)
 
     @pytest.mark.parametrize("f,N", [(F2, 2), (F7, 3), (F5, 2)])
@@ -530,6 +612,20 @@ class TestAgainstReferences:
             assert fixed_coset_count(ring, involution) == \
                 _fixed_coset_count_ref(ring, involution), involution
 
+    @pytest.mark.parametrize("N", COSET_LEVELS)
+    def test_fixed_coset_census_matches_scan(self, N):
+        # every level of the benchmark's coset sweep, at a split and an
+        # inert prime, for both involutions
+        p = FiniteRing(F2, N).primes[0][0]
+        kinds = {}
+        for d in (-2, -5, -6, -7, -10, -11, -13, -14, -15, -19):
+            kinds.setdefault(splitting_type(make_field(d), p), d)
+        for kind in (SPLIT, INERT):
+            ring = FiniteRing(make_field(kinds[kind]), N)
+            for involution in ("sigma", "tau"):
+                assert fixed_coset_count(ring, involution) == \
+                    _fixed_coset_scan_ref(ring, involution), (kind, involution)
+
     def test_projective_line_work_is_linear_in_pairs(self, monkeypatch):
         # Each unit orbit of codes reads |units| products to mark it, and each
         # first coordinate kept reads |units| more for its stabiliser and a
@@ -538,7 +634,7 @@ class TestAgainstReferences:
         # pair, N^6 in all.
         ring = FiniteRing(F2, 11)
         unimodular = sum(1 for x in ring.elements() for y in ring.elements()
-                         if ring.is_unimodular(x, y))
+                         if _is_unimodular(ring, x, y))
         products = _count_products(monkeypatch)
         assert len(projective_line(ring)) == 144
         assert 0 < products[0] <= 2 * unimodular
