@@ -13,8 +13,8 @@ so its trace is -(N^2+1) whenever phi vanishes on the diagonal pairing.
 The pairing is bilinear mod N, so the operator is held as its 4 x 4 Gram
 matrix of Python ints: the trace comes out in O(N^3) integer steps and
 the defect of M^2 = I from four kernel sizes of O(N^2) steps each, both
-in O(N^2) memory, and the dense (N^4-1)^2 matrix is only ever written
-out, row by row, as the matrix dump.
+in O(N^2) memory.  The dense (N^4-1)^2 matrix is only ever written out, as
+the matrix dump, whose rows are joined from a table of per-block cells.
 Which character phi and which pairing argument make this well defined is
 not obvious; three readings are registered as CharacterVariant and the
 construction-time periodicity check plus the trace / involution tests
@@ -26,10 +26,8 @@ from __future__ import annotations
 import cmath
 import operator
 from collections import Counter
-from collections.abc import Iterator
 from fractions import Fraction
-from functools import cached_property
-from itertools import product
+from itertools import chain, islice, product, repeat
 from typing import NamedTuple
 
 from .exactmath import ConformanceError, InputError, as_integer, factorize, require_bytes
@@ -50,9 +48,11 @@ DEFAULT_VARIANT = SYMPLECTIC_INVDIFF
 # The largest thing trace() and involution_defect() hold is one kernel
 # size's count of half-values: tracemalloc peaks of 133-160 bytes per pair
 # at N = 30..100 and 183-208 at N = 300..400 (d = -2 and -7, both variants),
-# so 256 is an upper bound.  The matrix dump streams its rows, so it is
-# charged the bytes of the file it will write instead.
+# so 256 is an upper bound.
 _BYTES_PER_PAIR = 256
+# The matrix dump's table is charged per cell of its N^7: tracemalloc peaks of
+# the whole dump are 19.5, 15.2, 12.9, 11.5, 10.7 bytes a cell at N = 4..8.
+_BYTES_PER_CELL = 24
 
 
 class IllDefinedVariantError(ConformanceError):
@@ -202,16 +202,12 @@ class SczechOperator:
     (a tuple of rows of ints; any 4 x 4 integer sequence is accepted) fixes
     the operator.  trace() is read off A in O(N^3) integer steps and
     involution_defect() in O(N^2), neither holding more than O(N^2); the
-    N^4 indices and the dense matrix exist only for the dump.
+    dense matrix exists only as the text of the dump.
     """
 
     def __init__(self, N: int, gram) -> None:
         self.N = N
         self.gram = tuple(tuple(int(a) for a in row) for row in gram)
-
-    @cached_property
-    def indices(self) -> list[tuple[int, int, int, int]]:
-        return list(product(range(self.N), repeat=4))[1:]
 
     def _entry_values(self) -> list[complex]:
         """The N values an entry takes, indexed by its pairing exponent.
@@ -223,27 +219,6 @@ class SczechOperator:
         a, r = -1.0 / (n2 * (n2 - 1)), 1.0 / n2
         return [complex(a - z.real * r, 0.0 - z.imag * r) for z in _roots_of_unity(self.N)]
 
-    def _exponent_rows(self) -> Iterator[list[int]]:
-        """Per row x, the pairing exponents x^T A z mod N over all columns z.
-
-        With w = A z, x^T A z = (x0 w0 + x1 w1) + (x2 w2 + x3 w3); each half
-        is tabulated mod N per pair of row coordinates, so an exponent costs
-        one addition and one lookup.
-        """
-        N, A = self.N, self.gram
-        w = list(zip(*[[sum(A[i][j] * z[j] for j in range(4)) % N for i in range(4)]
-                       for z in self.indices]))               # w[i][column] = (A z)_i
-
-        def half(wa, wb):
-            return [[(p * a + q * b) % N for a, b in zip(wa, wb)]
-                    for p in range(N) for q in range(N)]
-
-        high, low = half(w[0], w[1]), half(w[2], w[3])
-        wrap = list(range(N)) * 2                           # reduces a sum of two residues
-        for x0, x1, x2, x3 in self.indices:
-            sums = map(operator.add, high[x0 * N + x1], low[x2 * N + x3])
-            yield list(map(wrap.__getitem__, sums))
-
     def trace(self) -> complex:
         """Sum of the diagonal, from the counts c_k of q(x) = x^T A x = k mod N:
 
@@ -251,18 +226,19 @@ class SczechOperator:
 
         with the k = 0 part exact, so it is exactly -(N^2 + 1) when q vanishes.
         q(x) = q(x0, x1, x2, 0) + l x3 + A33 x3^2 with l linear in (x0, x1, x2),
-        so the prefixes (x0, x1, x2) are counted by (q(x0, x1, x2, 0), l) mod N
-        and x3 runs once per class: O(N^3) steps.
+        so the prefixes (x0, x1, x2) are counted by q(x0, x1, x2, 0) N + l (each
+        mod N) and x3 runs once per class: O(N^3) steps.
         """
         N, n2, A = self.N, self.N**2, self.gram
         s = [[A[i][j] + A[j][i] for j in range(4)] for i in range(4)]
         prefixes = Counter(
-            ((A[0][0] * x0 * x0 + A[1][1] * x1 * x1 + A[2][2] * x2 * x2
-              + s[0][1] * x0 * x1 + s[0][2] * x0 * x2 + s[1][2] * x1 * x2) % N,
-             (s[0][3] * x0 + s[1][3] * x1 + s[2][3] * x2) % N)
+            (A[0][0] * x0 * x0 + A[1][1] * x1 * x1 + A[2][2] * x2 * x2
+             + s[0][1] * x0 * x1 + s[0][2] * x0 * x2 + s[1][2] * x1 * x2) % N * N
+            + (s[0][3] * x0 + s[1][3] * x1 + s[2][3] * x2) % N
             for x0, x1, x2 in product(range(N), repeat=3))
         counts = [0] * N
-        for (head, slope), n in prefixes.items():
+        for key, n in prefixes.items():
+            head, slope = divmod(key, N)
             for x3 in range(N):
                 counts[(head + slope * x3 + A[3][3] * x3 * x3) % N] += n
         counts[0] -= 1                                              # x = 0 is no index
@@ -276,15 +252,20 @@ class SczechOperator:
         M x = 0 exactly when M (x0, x1, 0, 0) = -M (0, 0, x2, x3), so the
         values of the first half are counted over its N^2 arguments and
         looked up for each value of the second: O(N^2) steps and memory.
+        A value is keyed as the base-N integer with one digit per row of M.
         """
         N = self.N
+        pairs = list(product(range(N), repeat=2))
 
-        def half(i: int, sign: int) -> Iterator[tuple[int, ...]]:
-            return (tuple(sign * (r[i] * p + r[i + 1] * q) % N for r in rows)
-                    for p in range(N) for q in range(N))
+        def half(i: int, sign: int) -> list[int]:
+            keys = [0] * len(pairs)
+            for r in rows:
+                a, b = sign * r[i], sign * r[i + 1]
+                keys = [k * N + (a * p + b * q) % N for k, (p, q) in zip(keys, pairs)]
+            return keys
 
         counts = Counter(half(0, 1))
-        return sum(counts[key] for key in half(2, -1))
+        return sum(map(counts.get, half(2, -1), repeat(0)))
 
     def involution_defect(self) -> float:
         """max |M^2 - I| over all entries, exactly, from the structure of M^2.
@@ -393,24 +374,43 @@ def sczech_trace(field: QuadField, N: int, variant: str = DEFAULT_VARIANT) -> Sc
 def write_matrix_dump(op: SczechOperator, path: str) -> None:
     """Plain-text dump: one 'i j re im' row per entry, row-major, 17 digits.
 
-    An entry takes one of N values, fixed by its pairing exponent, so the
-    string "j re im" of every column j and value is made once, and row i is
-    written as "i " joined with the strings its exponents pick.  The file,
-    (N^4 - 1)^2 lines of at most the longest such line, must fit the
-    budget; a larger dump is refused before the file is opened.  A path
-    that cannot be opened or written is an input error.
+    Entry (x, z) is fixed by r . z mod N with r = A^T x.  In the N^2 blocks
+    of columns with one (z0, z1), a block's cells depend only on the block,
+    s = r0 z0 + r1 z1 and (r2, r3), so a table of those N^5 cell tuples (N^7
+    "j re im" strings) is built once, and row x is "i " joined over the N^2
+    tuples its r picks: no Python step per entry.  The file, (N^4 - 1)^2
+    lines of at most the longest line, and the table, _BYTES_PER_CELL a
+    cell, must each fit the budget before anything is allocated or opened.
+    A path that cannot be opened or written is an input error.
     """
+    N, A = op.N, op.gram
+    n2, size = N * N, N**4 - 1
     values = [f"{z.real:.17g} {z.imag:.17g}\n" for z in op._entry_values()]
-    size = op.N**4 - 1
     line = 2 * len(f"{size - 1} ") + max(map(len, values))   # longest "i j re im"
     require_bytes(size * size * line, f"the {size} x {size} matrix dump file "
-                   f"(at most {line} bytes a line)")
-    columns = [[f"{j} {v}" for v in values] for j in range(size)]
+                  f"(at most {line} bytes a line)")
+    require_bytes(_BYTES_PER_CELL * N**7, f"the dump's table of {N**7} cells")
+    # cells[z0 N^3 + z1 N^2 + z2 N + z3][e]: "j re im" of column z at exponent e;
+    # z = 0 is no column, and its empty cell makes "i ".join lead with "i "
+    heads = [f"{j} " for j in range(size)]
+    cells = [("",) * N, *zip(*[map(operator.add, heads, repeat(v)) for v in values])]
+    blocks = [cells[b * n2:(b + 1) * n2] for b in range(n2)]
+    pairs = list(product(range(N), repeat=2))
+    # table[r2 N + r3][s N^2 + b]: block b's cells at exponents s + r2 z2 + r3 z3
+    table = [[tuple(map(operator.getitem, block, exps)) for exps in
+              [[(s + r2 * z2 + r3 * z3) % N for z2, z3 in pairs] for s in range(N)]
+              for block in blocks] for r2, r3 in pairs]
+    keys = [[(r0 * z0 + r1 * z1) % N * n2 + b for b, (z0, z1) in enumerate(pairs)]
+            for r0, r1 in pairs]                                  # keys[r0 N + r1][b]
+    # r = A^T x as the sum of its parts from (x0, x1) and from (x2, x3)
+    high, low = ([[A[i][k] * p + A[i + 1][k] * q for k in range(4)] for p, q in pairs]
+                 for i in (0, 2))
     try:
         with open(path, "w") as fh:
-            for i, row in enumerate(op._exponent_rows()):
-                pre = f"{i} "
-                fh.write(pre + pre.join([col[k] for col, k in zip(columns, row)]))
+            for i, (hi, lo) in enumerate(islice(product(high, low), 1, None)):  # no x = 0
+                r0, r1, r2, r3 = ((a + b) % N for a, b in zip(hi, lo))
+                picks = map(table[r2 * N + r3].__getitem__, keys[r0 * N + r1])
+                fh.write(f"{i} ".join(chain.from_iterable(picks)))
     except OSError as exc:
         raise InputError(f"cannot write the matrix dump to {path}: "
                          f"{exc.strerror or exc}") from exc

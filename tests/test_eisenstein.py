@@ -1,4 +1,5 @@
 import hashlib
+import os
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -291,6 +292,40 @@ class TestSczechOperator:
                 want = dump_sha256(dense_reference(F7, N, variant), tmp_path / "ref.txt")
                 assert got == want
 
+    @pytest.mark.parametrize("make, size, digest", [
+        (lambda: sczech_operator(F7, 5, DEFAULT_VARIANT), 18172752,
+         "d6eda92d3c6dd66c2b31d64de2a2c2b538070b735acfdca13d0ab9d95373a22f"),
+        (lambda: sczech_operator(F7, 5, INVERSE_DIFFERENT), 18172752,
+         "c94159d50cb5ed3439a82f04595a77bda34a0aafdc9693d6035d4e1df800b893"),
+        (lambda: sczech_operator(F2, 6), 80769190,
+         "e02ac6c05973782bb46b316343ea374e42e94674b46080a2c39cd657ec27c48c"),
+        (lambda: SczechOperator(5, DEGENERATE_GRAMS[3]), 18135252,
+         "3e2f6bc3d53c265c789a175a3a1b379bfe9a6b2cba450907669c994875b67f04"),
+        (lambda: SczechOperator(6, DEGENERATE_GRAMS[2]), 74603470,
+         "5c0c3e34c820d884bab7ab823b2c352548bc7d91ca9d0e7dd929f52a58c13ee2"),
+    ], ids=["d-7-N5-symplectic", "d-7-N5-invdiff", "d-2-N6", "gram-N5", "2I-N6"])
+    def test_matrix_dump_pinned_past_the_dense_tests(self, tmp_path, make, size, digest):
+        # pins taken from the writer that formatted each entry on its own,
+        # for levels past the dense references (N <= 4)
+        path = tmp_path / "dump.txt"
+        write_matrix_dump(make(), str(path))
+        h = hashlib.sha256()
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(2**20), b""):
+                h.update(chunk)
+        assert (path.stat().st_size, h.hexdigest()) == (size, digest)
+        path.unlink()                      # up to 81 MB; tmp_path outlives the test
+
+    def test_dump_table_charge_bounds_the_peak(self):
+        op = sczech_operator(F2, 5)
+        tracemalloc.start()
+        try:
+            write_matrix_dump(op, os.devnull)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= eisenstein._BYTES_PER_CELL * 5**7     # 1.1 of 1.8 MiB
+
     def test_vectorized_matrix_matches_scalar_mirror(self, tmp_path):
         # scalar re-derivation of every entry, guarding the row/column
         # orientation of the Gram matrix and of the exponent tables
@@ -310,9 +345,10 @@ class TestSczechOperator:
                 def conj(z):
                     return ((z[0] + T * z[1]) % N, (-z[1]) % N)
 
-                for i, row in enumerate(op.indices):
+                indices = list(product(range(N), repeat=4))[1:]     # zero is no index
+                for i, row in enumerate(indices):
                     alpha, beta = (row[0], row[1]), (row[2], row[3])
-                    for j, col in enumerate(op.indices):
+                    for j, col in enumerate(indices):
                         gamma, delta = (col[0], col[1]), (col[2], col[3])
                         if variant == INVERSE_DIFFERENT:
                             gamma, delta = conj(gamma), conj(delta)

@@ -107,7 +107,8 @@ def test_every_memory_charge_is_named_by_a_test():
     charges = {target.id for _, node in _nodes() if isinstance(node, ast.Assign)
                for target in node.targets
                if isinstance(target, ast.Name) and target.id.startswith("_BYTES_PER_")}
-    assert {"_BYTES_PER_MATRIX", "_BYTES_PER_PRODUCT", "_BYTES_PER_PAIR"} <= charges
+    assert {"_BYTES_PER_MATRIX", "_BYTES_PER_PRODUCT", "_BYTES_PER_PAIR",
+            "_BYTES_PER_CELL"} <= charges
     named = {getattr(node, "attr", getattr(node, "id", None))
              for _, node in _nodes(SRC.parent / "tests")}
     assert sorted(charges - named) == []
