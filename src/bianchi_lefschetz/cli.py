@@ -15,8 +15,6 @@ internal check raised (`table` emits an error record for it instead).
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from itertools import product
 
@@ -66,6 +64,8 @@ def _flatten(rec: dict) -> dict:
 def emit(records: list[dict], fmt: str, out=None) -> None:
     out = out or sys.stdout
     if fmt == "json":
+        import json   # the formats load their modules only when they write
+
         for rec in records:
             out.write(json.dumps(rec, sort_keys=True) + "\n")
         return
@@ -76,6 +76,8 @@ def emit(records: list[dict], fmt: str, out=None) -> None:
             if key not in columns:
                 columns.append(key)
     if fmt == "csv":
+        import csv
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows([flat.get(c, "") for c in columns] for flat in flats)

@@ -41,6 +41,7 @@ S_ODD_PRIMES = "odd-primes-of-level"   # count all odd rational primes dividing 
 S_LITERAL = "odd-ramified-of-level"    # count only the odd ramified ones
 
 
+@lru_cache(maxsize=512)
 def bracket_factor(variant: str, modulus: int, k: int) -> Fraction:
     """One bracket factor ((k+1)/modulus), modulus in {3, 4}.
 
@@ -129,10 +130,14 @@ def lefschetz_sigma_principal(field: QuadField, level: Level | int, k: int) -> i
         level = make_level(field, level)
     if k < 0:
         raise InputError(f"weight must be >= 0, got {k}")
-    core = level.a_plus_2b * Fraction(-level.N**3, 12) * (k + 1)
+    # (A + 2B) (-N^3 / 12) (k + 1) prod (p^2 - 1) / p^2 as one fraction
+    ab = level.a_plus_2b
+    num = -ab.numerator * level.N**3 * (k + 1)
+    den = 12 * ab.denominator
     for p, _, _ in level.factors:
-        core *= 1 - Fraction(1, p * p)
-    return as_integer(core, f"L(sigma, Gamma({level.N}), k={k})")
+        num *= p * p - 1
+        den *= p * p
+    return as_integer(Fraction(num, den), f"L(sigma, Gamma({level.N}), k={k})")
 
 
 def lefschetz_sigma_prime_power(field: QuadField, p: int, n: int, k: int) -> int:
@@ -151,7 +156,7 @@ def lefschetz_sigma_prime_power(field: QuadField, p: int, n: int, k: int) -> int
     if n < 1 or k < 0:
         raise InputError("need n >= 1 and k >= 0")
     e = field.t - 1 if field.d % 4 == 1 else field.t
-    val = -(2**e) * Fraction(p ** (3 * n) - p ** (3 * n - 2), 12) * (k + 1)
+    val = Fraction(-(2**e) * (p ** (3 * n) - p ** (3 * n - 2)) * (k + 1), 12)
     return as_integer(val, f"L(sigma, Gamma({p}^{n}), k={k})")
 
 

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
+from math import gcd, isqrt
 from typing import NamedTuple
 
-from .exactmath import InputError, factorize, is_prime, kronecker
+from .exactmath import InputError, factorize, is_prime, kronecker, require_bytes
 
 
 class QuadField(NamedTuple):
@@ -38,6 +40,46 @@ def is_square_free(n: int) -> bool:
     return all(e == 1 for _, e in factorize(abs(n)))
 
 
+# Bytes per value of b that reduced_forms holds at its peak: q_b, its
+# divisors up to sqrt(q_b), and its share of the returned forms, h / n
+# forms of about 200 bytes each for n values of b.  tracemalloc peaks are
+# 500-1400 bytes per b at |D| = 10^7 ... 10^8 as h / n goes from 1.9 to
+# 6.5, and h / n grows only like log log |D|.
+_BYTES_PER_B = 2048
+
+
+def _sqrt_mod(n: int, p: int) -> int:
+    """A square root of the quadratic residue n, p not dividing n, modulo
+    the odd prime p: one power when p = 3 mod 4, else Tonelli-Shanks."""
+    if p % 4 == 3:
+        return pow(n, (p + 1) // 4, p)
+    odd, s = p - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, odd, p), pow(n, odd, p), pow(n, (odd + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        f = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, f * f % p, t * f * f % p, r * f % p
+    return r
+
+
+def _odd_primes_to(m: int) -> list[int]:
+    """The odd primes p <= m, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (m + 1)
+    for p in range(3, isqrt(m) + 1, 2):
+        if sieve[p]:
+            sieve[p * p::2 * p] = bytes(len(range(p * p, m + 1, 2 * p)))
+    return list(compress(range(3, m + 1, 2), sieve[3::2]))
+
+
 def reduced_forms(D: int) -> list[tuple[int, int, int]]:
     """Primitive reduced positive-definite forms (a, b, c) of discriminant D.
 
@@ -46,22 +88,62 @@ def reduced_forms(D: int) -> list[tuple[int, int, int]]:
     the (fundamental) discriminant D < 0.  Sorted by (a, b).
 
     Enumerated by b >= 0 first (b = D mod 2, 3 b^2 <= |D|), then by the
-    divisors b <= a <= sqrt(q) of q = (b^2 - D) / 4, with c = q / a; the
-    form (a, -b, c) is reduced too when 0 < b < a < c.  About |D| / 7
-    trial divisions.
+    divisors max(b, 1) <= a <= sqrt(q) of q = (b^2 - D) / 4, with
+    c = q / a; the form (a, -b, c) is reduced too when 0 < b < a < c.
+    The divisors come from a sieve over b: an odd prime p divides q
+    exactly when b^2 = D (mod p), at most two classes of b mod p, and
+    since q_{b+2} = q_b + b + 1 the parity of q has period 4 in b.  Only
+    primes up to sqrt(max q) can divide an a that small.  About
+    sqrt(|D|) log |D| steps; the memory, about _BYTES_PER_B per b, is
+    charged before anything is allocated.
     """
     if D >= 0 or D % 4 not in (0, 1):
         raise InputError(f"not a negative quadratic discriminant: {D}")
-    from math import gcd, isqrt
+    b0 = D % 2
+    bs = range(b0, isqrt(-D // 3) + 1, 2)
+    n = len(bs)
+    require_bytes(_BYTES_PER_B * n, f"the reduced forms of D={D}")
+    qs = [(b * b - D) // 4 for b in bs]
+    tops = [isqrt(q) for q in qs]
+    divisors = [[1] for _ in bs]    # per b, the divisors of q_b up to sqrt(q_b) found so far
+
+    def attach(p: int, start: int) -> None:
+        # p divides q_b at every index i = start (mod p); multiply in p^e || q_b
+        for i in range(start, n, p):
+            top, q = tops[i], qs[i] // p
+            found = grown = divisors[i]
+            while True:
+                grown = [x * p for x in grown if x * p <= top]
+                if not grown:
+                    break
+                found += grown
+                if q % p:
+                    break
+                q //= p
+
+    for i in (0, 1):    # q_{b+2} = q_b + b + 1: the parity of q_b has period 2 in i
+        if i < n and qs[i] % 2 == 0:
+            attach(2, i)
+    for p in _odd_primes_to(tops[-1]):
+        r = D % p
+        if r == 0:
+            roots = (0,)
+        elif pow(r, (p - 1) // 2, p) != 1:
+            continue
+        else:
+            root = _sqrt_mod(r, p)
+            roots = (root, p - root)
+        for root in roots:
+            # b = b0 + 2i = root (mod p), and (p + 1) / 2 inverts 2
+            attach(p, (root - b0) * (p + 1) // 2 % p)
 
     forms = []
-    for b in range(D % 2, isqrt(-D // 3) + 1, 2):
-        q = (b * b - D) // 4
-        for a in range(max(b, 1), isqrt(q) + 1):
-            if q % a:
+    for b, q, found in zip(bs, qs, divisors):
+        for a in found:
+            if a < b:
                 continue
             c = q // a
-            if gcd(gcd(a, b), c) != 1:
+            if gcd(a, b, c) != 1:
                 continue
             forms.append((a, b, c))
             if 0 < b < a < c:
@@ -89,9 +171,10 @@ def make_field(d: int) -> QuadField:
     """Build the QuadField for a square-free d < 0, d not in {-1, -3}.
 
     Memoised (`make_field.cache_clear()` empties the memo): a caller asks
-    for the same few fields again and again, and each build enumerates
-    the reduced forms of D once, O(|D|) work.  `lru_cache` stores no
-    exceptions, so a rejected d raises InputError on every call.
+    for the same few fields again and again, and each build sieves the
+    reduced forms of D once, about sqrt(|D|) log |D| steps (see
+    reduced_forms).  `lru_cache` stores no exceptions, so a rejected d
+    raises InputError on every call.
     """
     if d >= 0:
         raise InputError(f"d must be negative, got {d}")

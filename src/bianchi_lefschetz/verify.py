@@ -11,6 +11,8 @@ non-involutive character variants) without failing the run.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat, starmap
+from operator import mul
 
 from . import oracles
 from .bounds import cusp_lower_bound, gl2_trace_sigma1
@@ -47,18 +49,24 @@ class SuiteResult:
 
 
 def suite_symbols(res: SuiteResult) -> None:
+    # each symbol is evaluated once per distinct argument, in map rows
     odd_primes = [p for p in range(3, 100) if is_prime(p)]
-    ok = all(legendre(a, p) == kronecker(a, p)
-             for p in odd_primes for a in range(-200, 201))
+    span = range(-200, 201)
+    ok = all(list(map(legendre, span, repeat(p))) == list(map(kronecker, span, repeat(p)))
+             for p in odd_primes)
     res.check(ok, "legendre == kronecker for odd primes p < 100, |a| <= 200")
 
     sf = [n for n in range(2, 51) if is_square_free(n)]
     grid = [s for n in sf for s in (n, -n)] + [1, -1]
-    ok = all(hilbert2(a, b) == hilbert2(b, a) for a in grid for b in grid)
-    res.check(ok, "hilbert2 symmetry on the square-free grid |a|,|b| <= 50")
+    table = [list(map(hilbert2, repeat(a), grid)) for a in grid]
+    res.check(table == [list(column) for column in zip(*table)],
+              "hilbert2 symmetry on the square-free grid |a|,|b| <= 50")
     small = [s for n in range(2, 13) if is_square_free(n) for s in (n, -n)] + [1, -1]
-    ok = all(hilbert2(a1 * a2, b) == hilbert2(a1, b) * hilbert2(a2, b)
-             for a1 in small for a2 in small for b in small)
+    # 1 is in small, so every a in small is itself one of the products
+    rows = {a: list(map(hilbert2, repeat(a), small))
+            for a in {a1 * a2 for a1 in small for a2 in small}}
+    ok = all(rows[a1 * a2] == list(map(mul, rows[a1], rows[a2]))
+             for a1 in small for a2 in small)
     res.check(ok, "hilbert2 bimultiplicativity on the small square-free grid")
 
     odds = [s for n in range(1, 16, 2) for s in (n, -n)]
@@ -66,7 +74,8 @@ def suite_symbols(res: SuiteResult) -> None:
     pairs = [(a, b) for a in odds for b in odds]
     pairs += [(a, b) for a in evens for b in odds]
     pairs += [(a, b) for a in odds for b in evens]
-    ok = all(hilbert2(a, b) == oracles.hilbert2_norm_search(a, b) for a, b in pairs)
+    ok = (list(starmap(hilbert2, pairs)) ==
+          list(starmap(oracles.hilbert2_norm_search, pairs)))
     res.check(ok, f"hilbert2 closed formula == mod-2^9 norm search on {len(pairs)} pairs")
 
     ok = all(sym_power_trace(t, k) == oracles.sym_power_trace_eigensum(t, k)

@@ -298,6 +298,27 @@ class TestVerifyCommand:
         assert "FAIL symbols: hilbert2 closed formula == mod-2^9 norm search on 448 pairs" in out
         assert "PASS symbols: hilbert2 symmetry on the square-free grid |a|,|b| <= 50" in out
 
+    def test_symmetry_check_can_fail(self, capsys, monkeypatch):
+        # one entry of the tabulated grid is flipped, its transpose is not
+        real = verify.hilbert2
+        monkeypatch.setattr(verify, "hilbert2",
+                            lambda a, b: -real(a, b) if (a, b) == (35, -46) else real(a, b))
+        code, out, _ = run_cli(capsys, "verify", "symbols")
+        assert code == 2
+        assert "FAIL symbols: hilbert2 symmetry on the square-free grid |a|,|b| <= 50" in out
+        assert "PASS symbols: hilbert2 bimultiplicativity on the small square-free grid" in out
+
+    def test_bimultiplicativity_check_can_fail(self, capsys, monkeypatch):
+        # (6, 5) and (5, 6) flip together, so the grid stays symmetric, but
+        # (6, 5) no longer equals (2, 5) * (3, 5)
+        real = verify.hilbert2
+        monkeypatch.setattr(verify, "hilbert2", lambda a, b: -real(a, b)
+                            if {a, b} == {5, 6} else real(a, b))
+        code, out, _ = run_cli(capsys, "verify", "symbols")
+        assert code == 2
+        assert "FAIL symbols: hilbert2 bimultiplicativity on the small square-free grid" in out
+        assert "PASS symbols: hilbert2 symmetry on the square-free grid |a|,|b| <= 50" in out
+
     def test_verify_all_output_is_pinned(self, capsys):
         # every line, DIAG text included, as the suites printed it when pinned
         code, out, err = run_cli(capsys, "verify", "all")

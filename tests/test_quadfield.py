@@ -1,10 +1,11 @@
 import random
+import tracemalloc
 from math import gcd, isqrt
 
 import pytest
 
 from bianchi_lefschetz import exactmath, quadfield
-from bianchi_lefschetz.exactmath import InputError, factorize, is_prime
+from bianchi_lefschetz.exactmath import InputError, factorize, is_prime, kronecker
 from bianchi_lefschetz.oracles import _hnf2, ideal_class_count, min_poly_splitting
 from bianchi_lefschetz.quadfield import (ambiguous_form_count, is_square_free,
                                          make_field, reduced_forms, splitting_type,
@@ -164,6 +165,105 @@ class TestReducedFormsAgainstReference:
         forms = reduced_forms(D)
         assert forms == _reduced_forms_ref(D)
         assert len(forms) > 100
+
+    # the other five large d of the benchmark decks, and D = 4d, d = 3 mod 4
+    @pytest.mark.parametrize("D", [-9999971, -9999967, -9999959, -9999947, -9999943,
+                                   4 * -9999993])
+    def test_more_large_discriminants(self, D):
+        assert reduced_forms(D) == _reduced_forms_ref(D)
+
+    def test_parity_of_q_alternates_when_D_is_even(self):
+        # q = (b^2 - D) / 4 is 5, 6 at b = 0, 2: for even D the parity of q
+        # alternates along b = 0, 2, 4, ..., so b = 0 alone does not decide 2 | q
+        assert reduced_forms(-20) == [(1, 0, 5), (2, 2, 3)]
+
+
+def _dirichlet_class_number(D):
+    # h = sum_{1 <= a <= |D|/2} (D/a) / (2 - (D/2)) for fundamental D < -4;
+    # Kronecker symbols only, no forms
+    total = sum(kronecker(D, a) for a in range(1, -D // 2 + 1))
+    h, rest = divmod(total, 2 - kronecker(D, 2))
+    assert rest == 0, D
+    return h
+
+
+class TestClassNumberAgainstDirichlet:
+    def test_every_field_down_to_minus_1000(self):
+        for d in range(-2, -1001, -1):
+            if d in (-1, -3) or not is_square_free(d):
+                continue
+            assert make_field(d).h == _dirichlet_class_number(make_field(d).D), d
+
+    def test_seeded_sample_up_to_10_to_the_5(self):
+        rng = random.Random(19)
+        fields = []
+        while len(fields) < 12:
+            d = -rng.randint(1000, 10**5)
+            if is_square_free(d) and (d % 4 == 1 or 4 * d >= -10**5):
+                fields.append(make_field(d))
+        for f in fields:
+            assert f.h == _dirichlet_class_number(f.D), f.d
+
+
+def test_reduced_forms_near_10_to_the_9_are_the_reduced_classes():
+    d = -999990615   # 3 * 5 * 13 * 19 * 29 * 41 * 227, d = 1 mod 4, so D = d
+    t = len(factorize(-d))
+    forms = reduced_forms(d)
+    assert all(x < y for x, y in zip(forms, forms[1:]))
+    for a, b, c in forms:
+        assert b * b - 4 * a * c == d
+        assert abs(b) <= a <= c and (b >= 0 or (-b != a and a != c))
+        assert gcd(gcd(a, b), c) == 1
+    ambiguous = sum(1 for a, b, c in forms if b == 0 or a == b or a == c)
+    assert (t, ambiguous) == (7, 2 ** (t - 1))
+    assert len(forms) % ambiguous == 0     # genus theory: 2^(t-1) divides h
+    assert len(forms) > 1000
+
+
+class TestSieveSquareRoots:
+    def test_every_residue_of_the_small_primes(self):
+        for p in range(3, 400, 2):
+            if not is_prime(p):
+                continue
+            for n in {x * x % p for x in range(1, p)}:
+                assert quadfield._sqrt_mod(n, p) ** 2 % p == n, (n, p)
+
+    @pytest.mark.parametrize("p", [40961, 65537, 786433])   # p - 1 = 2^13 * 5, 2^16, 2^18 * 3
+    def test_primes_with_a_large_power_of_two_in_p_minus_1(self, p):
+        rng = random.Random(p)
+        for _ in range(200):
+            n = pow(rng.randrange(1, p), 2, p)
+            assert quadfield._sqrt_mod(n, p) ** 2 % p == n, (n, p)
+
+
+class TestSieveMemoryGuard:
+    def test_charge_bounds_the_peak(self):
+        D = -100000031    # about 6.5 forms per value of b, among the most at this size
+        n = len(range(1, isqrt(-D // 3) + 1, 2))
+        tracemalloc.start()
+        try:
+            h = len(reduced_forms(D))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h > 6 * n
+        assert peak < quadfield._BYTES_PER_B * n
+
+    def test_fifteen_digit_prime_is_refused_before_allocating(self):
+        d = -100000000000031    # prime, d = 1 mod 4: about 2.9e6 values of b
+        n = len(range(1, isqrt(-d // 3) + 1, 2))
+        # checked first, so that a smaller charge fails here and not by running the sieve
+        assert quadfield._BYTES_PER_B * n > exactmath.MEMORY_BUDGET
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="budget"):
+                reduced_forms(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+        with pytest.raises(InputError, match="reduced forms of D=-100000000000031"):
+            make_field(d)
 
 
 class TestTwoTorsion:
