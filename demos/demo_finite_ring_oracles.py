@@ -12,8 +12,8 @@ where census and formula genuinely disagree (the tau count).
 from bianchi_lefschetz.eisenstein import cusp_count
 from bianchi_lefschetz.exactmath import factorize
 from bianchi_lefschetz.finitering import (FiniteRing, cusp_count_bruteforce,
-                                          fixed_coset_report, projective_line,
-                                          sl2_order, sl2_order_formula)
+                                          fixed_coset_count, fixed_coset_report,
+                                          projective_line, sl2_order, sl2_order_formula)
 from bianchi_lefschetz.quadfield import make_field, splitting_type
 
 print("SL2(O/(N)) orders, census vs norm formula:")
@@ -43,7 +43,18 @@ for d, p, n in ((-7, 3, 1), (-2, 3, 1), (-2, 5, 1), (-7, 3, 2)):
           f"{sig.closed_formula} (match={sig.matches}); tau census {tau.census} "
           f"vs formula {tau.closed_formula} (match={tau.matches})")
 
-print("\nThe tau disagreement is deliberate output: the census counts all")
-print("columns with conj(a) = a and conj(c) = -c, while the closed formula")
-print("counts the smaller set used in the trace derivation.  Both numbers")
-print("are reported so the discrepancy stays visible.")
+print("\nfixed cusps where the closed formula has no value (2 ramifies in")
+print("Q(sqrt(-2)), 7 in Q(sqrt(-7))):")
+for d, N in ((-2, 4), (-7, 7)):
+    ring = FiniteRing(make_field(d), N)
+    print(f"  d={d:>4} N={N}: sigma fixes {fixed_coset_count(ring, 'sigma')}, "
+          f"tau fixes {fixed_coset_count(ring, 'tau')} of "
+          f"{cusp_count_bruteforce(ring.field, N) // (2 * ring.field.h)} cusps")
+
+print("\nThe coset census counts unimodular columns (a, c) up to sign, the")
+print("cusps of Gamma(N) at h = 1: sigma fixes a class when")
+print("(conj a, conj c) = +-(a, c), tau when (conj a, -conj c) = +-(a, c).  It")
+print("answers at every N >= 3.  Prime to D, multiplying by 2w - T swaps the")
+print("columns with each sign, so the count is that of the + sign alone, and")
+print("the tau closed formula counts a smaller set still: both numbers are")
+print("reported so the discrepancy stays visible.")

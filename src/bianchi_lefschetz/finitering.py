@@ -10,8 +10,8 @@ The censuses work on element codes k = a*N + b, the index of (a, b) in
 `FiniteRing.elements()`, through two tables that each ring builds on
 first use and keeps:
 - `masks()`: one byte per element, bit i set when it lies in the i-th
-  maximal ideal (N^2 bytes).  A unit has mask 0, and (x, y) is unimodular
-  when masks[x] & masks[y] == 0.
+  maximal ideal (N^2 bytes, charged against the memory budget first).  A
+  unit has mask 0, and (x, y) is unimodular when masks[x] & masks[y] == 0.
 - `product_rows()`: one `bytes` row per element x, holding the one-byte
   codes of x*y for every y (N^4 bytes in all).  Padded to 256 bytes, row
   x is the `bytes.translate` table that multiplies a string of codes by
@@ -19,8 +19,7 @@ first use and keeps:
   string of multiples by a per-level addition table.  One-byte codes
   need |R| = N^2 <= 256, so the table, and the projective line and SL2
   listing that read it, refuse N > 16.  Only the censuses that already
-  do |R|^2 work build it; the coset census, which runs to N = 49, reads
-  the masks alone.
+  do |R|^2 work build it; the column census reads the masks alone.
 Every pair handed back holds the tuples of `elements()`.  The SL2 listing
 hands back packed codes, four element codes in one int per matrix, and
 `FiniteRing.matrix` decodes one into those tuples.
@@ -37,9 +36,9 @@ does work in proportion to what it must examine:
 - the local SL2 listing reads each product row once and writes its
   output a block of byte columns at a time; the brute SL2 filter takes,
   per first entry a, |R| steps and C-level passes over the |R|^2 (b, c);
-- the coset census reads its 2N fixed coordinates off linear conditions,
-  in O(N) steps; it and the cusp census pair the distinct mask values of
-  two coordinate lists, weighted by how many entries carry each.
+- the column census counts unimodular columns (a, c) up to sign (cusps
+  of Gamma(N) at h = 1, all or those sigma or tau fixes): it pairs the
+  masks of two coordinate lists, each all of R or read in O(N) steps.
 """
 
 from __future__ import annotations
@@ -76,6 +75,9 @@ _BYTES_PER_MATRIX = 8
 # from N = 11 on.  Below that the fixed part is more per product, but the
 # whole table is under 60 KB.
 _BYTES_PER_PRODUCT = 5
+# Bytes the unit masks hold per element while built: 2.1-2.2 with one maximal
+# ideal, 3.2-3.4 with two to six (tracemalloc, N = 64..1012), so 4 bounds it.
+_BYTES_PER_ELEMENT = 4
 
 
 def _admit(ring: FiniteRing, what: str, need: int) -> None:
@@ -158,6 +160,8 @@ class FiniteRing:
                 raise InputError(f"O/({self.N}) has {len(ideals)} maximal ideals; "
                                  "the unit masks hold at most 8")
             N = self.N
+            require_bytes(_BYTES_PER_ELEMENT * N * N,
+                          f"the unit masks at (d={self.field.d}, N={N})")
             bits = 0
             for i, (p, r) in enumerate(ideals):
                 # a + b w lies in pO when p | a, b; in (p, w - r) when p | a + b r
@@ -362,41 +366,41 @@ def projective_line(ring: FiniteRing) -> list[tuple[Elem, Elem]]:
     return points
 
 
-def _disjoint_pairs(xs: bytes, ys: bytes) -> int:
-    """#{(x, y) : x in xs, y in ys, x & y == 0} for two strings of unit
-    masks, so the number of unimodular pairs they make: the distinct mask
-    values are paired, weighted by how many entries carry each."""
-    xt, yt = Counter(xs).items(), Counter(ys).items()
-    return sum(m * n for x, m in xt for y, n in yt if not x & y)
+def _column_classes(*lists: tuple[Counter[int], Counter[int]]) -> int:
+    """+-1-classes of the unimodular columns (a, c), a from xs and c from ys
+    for some (xs, ys) of `lists` (tallies of masks; the columns closed under
+    negation): disjoint masks are paired and halved, since at N >= 3 no
+    column is its own negative (2a = 2c = 0 puts a, c in one maximal ideal)."""
+    return sum(m * n for xs, ys in lists for x, m in xs.items() for y, n in ys.items()
+               if not x & y) // 2
 
 
 def fixed_coset_count(ring: FiniteRing, involution: str) -> int:
-    """Unipotent cosets of SL2(R) at infinity fixed by the involution.
+    """Cusps of Gamma(N) (h = 1) fixed by the involution, N >= 3: unipotent
+    cosets of SL2(R) at infinity, so unimodular columns (a, c), up to sign.
 
-    Left cosets of the upper-unitriangular subgroup biject with unimodular
-    columns (a, c); the involution fixes a coset exactly when it fixes the
-    column: (sigma a, sigma c) = (a, c) for sigma and
-    (sigma a, -sigma c) = (a, c) for tau.  Requires N = p^n with p an odd
-    unramified prime.  sigma(x + y*w) = (x + T*y) - y*w, and 2 is a unit,
-    so sigma fixes the N elements with y = 0 and -sigma the N with
-    2x = -T*y, one for each y.  Both lists are read off these conditions in
-    O(N) steps, never visiting the other elements, and their masks are
-    paired.  Only the masks are built (N^2 bytes), never the product rows,
-    so levels far past N = 16 stay cheap.
+    sigma fixes a class when (sigma a, sigma c) = +-(a, c), tau when
+    (sigma a, -sigma c) = +-(a, c).  sigma(x + y*w) = (x + T*y) - y*w fixes
+    x + y*w exactly when 2y = T*y = 0 and negates it when 2x + T*y = 0
+    (mod N): the + and - lists, read in O(N) steps off the masks alone.
+    sigma pairs (+, +) and (-, -), tau (+, -) and (-, +).  Where
+    gcd(N, D) = 1, delta = 2w - T is a unit (delta^2 = D) with
+    sigma(delta) = -delta, so multiplying by delta swaps the lists and the
+    count is that of the + sign alone.
     """
     if involution not in (SIGMA, TAU):
         raise InputError(f"unknown involution {involution!r}")
-    if len(ring.primes) != 1:
-        raise InputError("fixed_coset_count requires a prime-power level")
-    p, _, spl, _ = ring.primes[0]
-    if p == 2 or spl == RAMIFIED:
-        raise InputError("fixed_coset_count requires an odd unramified prime")
-    N, masks = ring.N, ring.masks()
-    fixed_a = masks[::N]                                  # the codes x*N + 0
+    if ring.N < 3:
+        raise InputError(f"fixed_coset_count requires N >= 3, got {ring.N}")
+    N, T, masks = ring.N, ring.T, ring.masks()
+    halves: list[list[int]] = [[] for _ in range(N)]        # [r]: the x with 2x = r
+    for x in range(N):
+        halves[2 * x % N].append(x)
+    plus = Counter(b"".join(masks[y::N] for y in halves[0] if T * y % N == 0))
+    minus = Counter(bytes(masks[x * N + y] for y in range(N) for x in halves[-T * y % N]))
     if involution == SIGMA:
-        return _disjoint_pairs(fixed_a, fixed_a)
-    slope = -ring.T * ((N + 1) // 2) % N                  # -T/2 mod N
-    return _disjoint_pairs(fixed_a, bytes(masks[slope * y % N * N + y] for y in range(N)))
+        return _column_classes((plus, plus), (minus, minus))
+    return _column_classes((plus, minus), (minus, plus))
 
 
 class CensusReport(NamedTuple):
@@ -406,36 +410,32 @@ class CensusReport(NamedTuple):
     match flag precisely so the disagreement is visible instead of being
     silently resolved either way.
     """
-    d: int
-    p: int
-    n: int
-    involution: str
     census: int
     closed_formula: int
     matches: bool
 
 
 def fixed_coset_report(ring: FiniteRing, involution: str) -> CensusReport:
+    """fixed_coset_count next to fixed_coset_formula, in the formula's domain
+    (odd unramified prime powers), where the census is the + count alone."""
+    if len(ring.primes) != 1:
+        raise InputError("fixed_coset_report requires a prime-power level")
+    p, n, spl, _ = ring.primes[0]
+    if p == 2 or spl == RAMIFIED:
+        raise InputError("fixed_coset_report requires an odd unramified prime")
     census = fixed_coset_count(ring, involution)
-    p, n = ring.primes[0][0], ring.primes[0][1]
     formula = fixed_coset_formula(p, n, involution)
-    return CensusReport(d=ring.field.d, p=p, n=n, involution=involution,
-                        census=census, closed_formula=formula,
-                        matches=census == formula)
+    return CensusReport(census, formula, census == formula)
 
 
 def cusp_count_bruteforce(field: QuadField, N: int) -> int:
-    """h times the number of unimodular columns (a, c) of O/(N), N >= 3:
-    the cosets of the unitriangular group, so h * #SL2 / N^2 with no group
-    order.  A column is unimodular when its entries' masks are disjoint.
-
-    These are columns, not cusps of Gamma(N): -1 lies in the stabiliser of
-    infinity in PSL2(O), so a cusp is a column up to sign, and at N >= 3 no
-    unimodular column is its own negative (2a = 2c = 0 puts a and c in one
-    maximal ideal).  So the census is twice the number of +-1-classes;
-    which count the records should carry is an open convention.
+    """2h times the +-1-classes of unimodular columns (a, c) of O/(N),
+    N >= 3: the unitriangular cosets, h * #SL2 / N^2 with no group order.
+    The classes are the cusps of Gamma(N) at h = 1 (-1 lies in the
+    stabiliser of infinity in PSL2(O)); which count the records should
+    carry is an open convention.
     """
     if N < 3:
         raise InputError(f"cusp_count_bruteforce requires N >= 3, got {N}")
-    masks = FiniteRing(field, N).masks()
-    return field.h * _disjoint_pairs(masks, masks)
+    tally = Counter(FiniteRing(field, N).masks())
+    return 2 * field.h * _column_classes((tally, tally))

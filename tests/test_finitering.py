@@ -1,4 +1,5 @@
 import tracemalloc
+from math import gcd
 
 import pytest
 
@@ -239,6 +240,35 @@ class TestProductTableGuard:
         assert _peak_of(lambda: projective_line(ring)) <= finitering._BYTES_PER_PRODUCT * N**4
 
 
+class TestMaskGuard:
+    def test_charged_before_the_masks_are_built(self, monkeypatch):
+        # O/(101) for d = -2: 101^2 elements at _BYTES_PER_ELEMENT bytes each
+        need = finitering._BYTES_PER_ELEMENT * 101**2
+        monkeypatch.setattr(exactmath, "MEMORY_BUDGET", need - 1)
+        ring = FiniteRing(F2, 101)
+        with pytest.raises(InputError, match="unit masks"):
+            ring.masks()
+        assert ring._masks is None
+        monkeypatch.setattr(exactmath, "MEMORY_BUDGET", need)
+        assert len(ring.masks()) == 101**2
+
+    @pytest.mark.parametrize("d,N,ideals", [(-5, 625, 1), (-7, 729, 1), (-7, 64, 2),
+                                            (-2, 297, 4), (-7, 506, 6), (-7, 1012, 6)])
+    def test_charge_bounds_the_peak(self, d, N, ideals):
+        # one maximal ideal (ramified, inert) up to six, on a fresh ring
+        ring = FiniteRing(make_field(d), N)
+        assert sum(1 if spl == INERT else len(roots)
+                   for _, _, spl, roots in ring.primes) == ideals
+        assert _peak_of(ring.masks) <= finitering._BYTES_PER_ELEMENT * N * N
+
+    def test_large_level_refused_before_allocating(self):
+        # N = 3^10: about 3.5e9 elements of masks, over the budget
+        def refused():
+            with pytest.raises(InputError, match="unit masks"):
+                fixed_coset_count(FiniteRing(F7, 3**10), "sigma")
+        assert _peak_of(refused) < 2**20
+
+
 class TestProjectiveLine:
     def test_sizes(self):
         assert len(projective_line(FiniteRing(F7, 3))) == 10    # P1(F9)
@@ -313,15 +343,21 @@ class TestFixedCosets:
         assert points == 17 and seen == {SPLIT, INERT}
 
     def test_rejects_ramified_and_even(self):
-        with pytest.raises(InputError):
-            fixed_coset_count(FiniteRing(F5, 5), "sigma")
-        with pytest.raises(InputError):
+        # the closed formula's domain is the odd unramified prime powers, so
+        # the report refuses the rest; the census refuses only N < 3
+        for f, N in ((F5, 5), (F7, 2), (F7, 4)):
+            with pytest.raises(InputError, match="odd unramified prime"):
+                fixed_coset_report(FiniteRing(f, N), "sigma")
+        with pytest.raises(InputError, match="prime-power level"):
+            fixed_coset_report(FiniteRing(F7, 15), "tau")
+        with pytest.raises(InputError, match="N >= 3"):
             fixed_coset_count(FiniteRing(F7, 2), "sigma")
 
     def test_census_never_visits_the_elements(self, monkeypatch):
         # at N = 3^6 = 729 the ring has 531441 elements; the census reads
-        # the fixed coordinates off their conditions, so a ring whose
-        # elements() raises still answers, split (d = -2) and inert (d = -7)
+        # the fixed and negated coordinates off their conditions, so a ring
+        # whose elements() raises still answers, split (d = -2) and inert
+        # (d = -7)
         def refuse(self):
             raise AssertionError("the coset census listed the elements")
         monkeypatch.setattr(FiniteRing, "elements", refuse)
@@ -330,11 +366,47 @@ class TestFixedCosets:
             assert splitting_type(f, 3) == kind
             assert fixed_coset_count(ring, "sigma") == 3**12 - 3**10
             assert fixed_coset_count(ring, "tau") == (3 + 1) * (3**11 - 3**10)
-        # the refusals still hold: p = 2, a ramified p, a composite level
-        for f, N in ((F7, 4), (F2, 8), (F5, 25), (F7, 15), (F2, 45)):
-            for involution in ("sigma", "tau"):
-                with pytest.raises(InputError):
-                    fixed_coset_count(FiniteRing(f, N), involution)
+        # p = 2, ramified and composite levels, each value from a brute +-1
+        # count.  At size, 2 splits in Q(sqrt(-7)), and 5 ramifies in
+        # Q(sqrt(-5)): there sigma fixes Z/N and negates (Z/N)w, a column of
+        # Z/N is unimodular unless 5 divides both entries, and one of (Z/N)w
+        # never is, so f_sigma = N^2 (1 - 5^-2) / 2 and f_tau = N^2 (1 - 5^-1),
+        # the columns (a, c w) with a unit a
+        pins = {(F7, 4): (12, 12), (F2, 8): (96, 128), (F5, 25): (300, 500),
+                (F7, 15): (192, 192), (F2, 45): (1728, 1728),
+                (F7, 2**9): (196608, 196608), (F5, 5**4): (187500, 312500)}
+        for (f, N), want in pins.items():
+            ring = FiniteRing(f, N)
+            assert (fixed_coset_count(ring, "sigma"), fixed_coset_count(ring, "tau")) == want, N
+            if gcd(N, f.D) == 1:
+                assert want == (_coprime_fixed_count(N),) * 2, N
+
+    @pytest.mark.parametrize("d,N,cusps,f_sigma,f_tau", [
+        (-2, 4, 96, 24, 32), (-7, 4, 72, 12, 12), (-11, 4, 120, 12, 12),
+        (-2, 6, 384, 96, 96), (-7, 7, 1176, 24, 42), (-2, 8, 1536, 96, 128),
+        (-11, 11, 7260, 60, 110), (-2, 12, 6144, 192, 256), (-5, 25, 187500, 300, 500)])
+    def test_cusps_and_fixed_cusps_pinned(self, d, N, cusps, f_sigma, f_tau):
+        # p = 2, ramified and composite levels; d = -5 has h = 2, so its
+        # cusps are the column classes of O/(N)
+        f = make_field(d)
+        ring = FiniteRing(f, N)
+        assert cusp_count_bruteforce(f, N) == 2 * f.h * cusps
+        assert (fixed_coset_count(ring, "sigma"), fixed_coset_count(ring, "tau")) == \
+            (f_sigma, f_tau)
+
+    def test_coprime_levels_fix_sl2_order_over_n(self):
+        # at gcd(N, D) = 1 both involutions fix N^2 prod_{p | N} (1 - p^-2)
+        # classes, |SL2(Z/N)| / N; N <= 13 for d = -2, -7, -11
+        points = 0
+        for f in (F2, F7, F11):
+            for N in range(3, 14):
+                if gcd(N, f.D) == 1:
+                    ring = FiniteRing(f, N)
+                    want = _coprime_fixed_count(N)
+                    assert fixed_coset_count(ring, "sigma") == fixed_coset_count(ring, "tau") \
+                        == want, (f.d, N)
+                    points += 1
+        assert points == 26
 
 
 class TestCuspCensus:
@@ -498,15 +570,29 @@ def _enumerate_sl2_local_ref(ring):
 
 
 def _fixed_coset_count_ref(ring, involution):
+    # +-1-classes of unimodular columns (a, c) with
+    # (sigma a, +-sigma c) = +-(a, c), the inner sign + for sigma and - for
+    # tau: sigma and negation applied element by element, the fixed
+    # columns halved
     count = 0
     for a in ring.elements():
-        if _sigma(ring, a) != a:
-            continue
+        sa, minus_a = _sigma(ring, a), _neg(ring, a)
         for c in ring.elements():
-            sc = _sigma(ring, c)
-            want = sc if involution == "sigma" else _neg(ring, sc)
-            if want == c and _is_unimodular(ring, a, c):
+            sc = _sigma(ring, c) if involution == "sigma" else _neg(ring, _sigma(ring, c))
+            if (sa, sc) in ((a, c), (minus_a, _neg(ring, c))) and _is_unimodular(ring, a, c):
                 count += 1
+    assert count % 2 == 0
+    return count // 2
+
+
+def _coprime_fixed_count(N):
+    """N^2 prod over the primes p | N of (1 - p^-2), from N alone."""
+    count, m = N * N, N
+    for p in range(2, N + 1):
+        if m % p == 0:
+            count = count // (p * p) * (p * p - 1)
+            while m % p == 0:
+                m //= p
     return count
 
 
@@ -612,10 +698,22 @@ class TestAgainstReferences:
             assert fixed_coset_count(ring, involution) == \
                 _fixed_coset_count_ref(ring, involution), involution
 
+    @pytest.mark.parametrize("d", [-2, -5, -7, -11])
+    def test_fixed_coset_count_at_every_small_level(self, d):
+        # p = 2 (split for -7, inert for -11, ramified for -2 and -5),
+        # ramified odd primes (5 for -5, 7 for -7) and composite levels
+        for N in range(3, 10):
+            ring = FiniteRing(make_field(d), N)
+            for involution in ("sigma", "tau"):
+                assert fixed_coset_count(ring, involution) == \
+                    _fixed_coset_count_ref(ring, involution), (N, involution)
+
     @pytest.mark.parametrize("N", COSET_LEVELS)
     def test_fixed_coset_census_matches_scan(self, N):
         # every level of the benchmark's coset sweep, at a split and an
-        # inert prime, for both involutions
+        # inert prime, for both involutions: the earlier census, of the
+        # columns with the + sign alone, which the +-1 count equals at
+        # every level prime to D
         p = FiniteRing(F2, N).primes[0][0]
         kinds = {}
         for d in (-2, -5, -6, -7, -10, -11, -13, -14, -15, -19):

@@ -108,7 +108,7 @@ def test_every_memory_charge_is_named_by_a_test():
                for target in node.targets
                if isinstance(target, ast.Name) and target.id.startswith("_BYTES_PER_")}
     assert {"_BYTES_PER_MATRIX", "_BYTES_PER_PRODUCT", "_BYTES_PER_PAIR",
-            "_BYTES_PER_CELL", "_BYTES_PER_B"} <= charges
+            "_BYTES_PER_CELL", "_BYTES_PER_B", "_BYTES_PER_ELEMENT"} <= charges
     named = {getattr(node, "attr", getattr(node, "id", None))
              for _, node in _nodes(SRC.parent / "tests")}
     assert sorted(charges - named) == []
