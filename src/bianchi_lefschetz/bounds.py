@@ -50,14 +50,10 @@ def cusp_lower_bound(field: QuadField, N: int, k: int) -> BoundReport:
     warnings: list[str] = []
 
     L = lefschetz_sigma_principal(field, level, k)
-    if len(level.factors) == 1:
-        p, n, spl = level.factors[0]
-        prov["L"] = ("prime-power-level Lefschetz number (odd unramified prime)"
-                     if p != 2 else "principal-level Lefschetz number (surface-count table)")
-    else:
-        p = n = None
-        spl = None
-        prov["L"] = "principal-level Lefschetz number (surface-count table)"
+    (p, n, spl), *others = level.factors
+    prov["L"] = ("principal-level Lefschetz number (surface-count table)" if p == 2 or others
+                 else "prime-power-level Lefschetz number (odd unramified prime)")
+    if others:
         warnings.append("composite level: Lefschetz constant outside the validated "
                         "prime-power domain")
 
@@ -67,7 +63,7 @@ def cusp_lower_bound(field: QuadField, N: int, k: int) -> BoundReport:
     prov["tr0"] = ("trivial action on degree 0 of a connected space" if k == 0
                    else "zero on degree 0 (irreducible nontrivial coefficients)")
 
-    if k == 0 and field.h == 1 and len(level.factors) == 1 and spl == INERT:
+    if k == 0 and field.h == 1 and not others and spl == INERT:
         tr1 = trace_sigma_h1_eis(field, p, n)
         prov["tr1_eis"] = "degree-1 Eisenstein trace via the cocycle span " \
                           "(inert prime power, class number one)"

@@ -85,20 +85,6 @@ def fixed_coset_formula(p: int, n: int, involution: str) -> int:
     return p ** (2 * n if involution == SIGMA else 2 * n - 1) - p ** (2 * n - 2)
 
 
-def _check_unramified_level(field: QuadField, N: int, what: str) -> list[tuple[int, int]]:
-    if N == 1:
-        return []
-    if N == 2:
-        raise InputError(f"{what} requires N >= 3 (or N = 1), got 2")
-    if N < 1:
-        raise InputError(f"invalid level {N}")
-    factors = factorize(N)
-    for p, _ in factors:
-        if splitting_type(field, p) == RAMIFIED:
-            raise InputError(f"{what} requires unramified level; {p} ramifies in {field}")
-    return factors
-
-
 def trace_h2_eis(field: QuadField, N: int, k: int, involution: str) -> int:
     """Trace of the involution on degree-2 Eisenstein cohomology at
     unramified level N.
@@ -113,9 +99,15 @@ def trace_h2_eis(field: QuadField, N: int, k: int, involution: str) -> int:
         raise InputError(f"unknown involution {involution!r}")
     if k < 0:
         raise InputError(f"weight must be >= 0, got {k}")
-    factors = _check_unramified_level(field, N, f"trace_{involution}_h2_eis")
+    if N == 2:
+        raise InputError(f"trace_{involution}_h2_eis requires N >= 3 (or N = 1), got 2")
+    if N < 1:
+        raise InputError(f"invalid level {N}")
     val = -two_torsion_count(field)
-    for p, n in factors:
+    for p, n in factorize(N):
+        if splitting_type(field, p) == RAMIFIED:
+            raise InputError(f"trace_{involution}_h2_eis requires unramified level; "
+                             f"{p} ramifies in {field}")
         val *= fixed_coset_formula(p, n, involution)
     return val + (1 if k == 0 else 0)
 

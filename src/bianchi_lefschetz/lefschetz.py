@@ -5,7 +5,7 @@ Three formula families live here:
 * the principal-level formula
   L(sigma, Gamma(N), E_{k,k}) = (A + 2B) * (-N^3/12) * prod_{p|N}(1 - p^-2) * (k+1),
   where A and B count translates of the two kinds of fixed surfaces and
-  come from a table indexed by d mod 4 and the 2-exponent of the level;
+  come from a table indexed by d mod 4 and v_2(N), the exponent of 2 in N;
 
 * its specialization to odd unramified prime powers,
   -2^(t-1) resp. -2^t times (p^{3n} - p^{3n-2})/12 * (k+1);
@@ -81,26 +81,20 @@ class Level(NamedTuple):
         return self.A + 2 * self.B
 
 
-def _table_ab(d_mod4: int, j2: int, ts: int) -> tuple[Fraction, Fraction]:
-    """Fixed-surface translate counts by (d mod 4, j2), exponents in ts = t - s."""
+def _table_ab(d_mod4: int, v2: int, ts: int) -> tuple[Fraction, Fraction]:
+    """Fixed-surface translate counts by d mod 4 and v2 = v_2(N), with ts = t - s.
+
+    For d != 1 mod 4, 2 ramifies, so its prime divides a rational N to the
+    even exponent 2 * v2 (odd exponents arise only for ideal levels), and
+    d = 2 and d = 3 mod 4 share one table.
+    """
     two = Fraction(2)
     if d_mod4 == 1:
         return two**ts, Fraction(0)
-    if d_mod4 == 2:
-        if j2 in (0, 1):
-            return two**ts, two ** (ts - 1)
-        if j2 == 2:
-            return 8 * two**ts, Fraction(0)
-        return 8 * two ** (ts - 1), Fraction(0)
-    # d = 3 mod 4
-    if j2 == 0:
+    if v2 == 0:
         return two**ts, two ** (ts - 1)
-    if j2 == 1:
-        return two**ts, Fraction(0)
-    if j2 == 2:
+    if v2 == 1:
         return 8 * two**ts, Fraction(0)
-    if j2 % 2:
-        return two ** (ts - 1), Fraction(0)
     return 8 * two ** (ts - 1), Fraction(0)
 
 
@@ -111,12 +105,11 @@ def make_level(field: QuadField, N: int, s_mode: str = S_ODD_PRIMES) -> Level:
         raise InputError(f"unknown s_mode {s_mode!r}")
     factors = tuple((p, e, splitting_type(field, p)) for p, e in factorize(N))
     v2 = next((e for p, e, _ in factors if p == 2), 0)
-    j2 = 2 * v2 if 2 in field.ramified_primes else v2
     if s_mode == S_ODD_PRIMES:
         s = sum(1 for p, _, _ in factors if p != 2)
     else:
         s = sum(1 for p, _, spl in factors if p != 2 and spl == RAMIFIED)
-    A, B = _table_ab(field.d % 4, j2, field.t - s)
+    A, B = _table_ab(field.d % 4, v2, field.t - s)
     if A < 0 or B < 0 or A + 2 * B <= 0:
         raise ConformanceError(f"fixed-surface counts A={A}, B={B} at (d={field.d}, "
                                f"N={N}) are not nonnegative with A + 2B > 0")

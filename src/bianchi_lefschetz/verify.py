@@ -20,8 +20,8 @@ from .eisenstein import (CHARACTER_VARIANTS, DEFAULT_VARIANT,
                          IllDefinedVariantError, cusp_count,
                          level_one_sigma_traces, sczech_operator,
                          trace_h2_eis, trace_sigma_h1_eis, sczech_trace)
-from .exactmath import (ConformanceError, InputError, hilbert2, is_prime, kronecker,
-                        legendre, sym_power_trace)
+from .exactmath import (ConformanceError, InputError, factorize, hilbert2, is_prime,
+                        kronecker, legendre, sym_power_trace)
 from .finitering import FiniteRing, cusp_count_bruteforce, fixed_coset_report, sl2_order
 from .lefschetz import (BRACKET_VARIANTS, DEFAULT_BRACKET, adjudicate_brackets,
                         lefschetz_level_one, lefschetz_sigma_prime_power,
@@ -194,8 +194,7 @@ def suite_integrality(res: SuiteResult) -> None:
     ok = True
     for f in fields:
         for N in range(3, 41):
-            facts = [p for p in range(2, N + 1) if N % p == 0 and is_prime(p)]
-            if len(facts) != 1:
+            if len(factorize(N)) != 1:
                 continue
             try:
                 lefschetz_sigma_principal(f, N, 1)  # raises if non-integral

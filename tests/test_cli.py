@@ -70,6 +70,37 @@ class TestBoundCommand:
         for key, val in rec["result"].items():
             assert csv_map[f"result.{key}"] == val
 
+    @pytest.mark.parametrize("d, N, result, warnings, prov_L, prov_tr1", [
+        (-7, 15, {"L": "-120", "bound": "0", "kind": "cusp_lower_bound",
+                  "mode": "worst_case", "tr0": "1", "tr1_window": "49920", "tr2_eis": "-191"},
+         ["composite level: Lefschetz constant outside the validated prime-power domain"],
+         "principal-level Lefschetz number (surface-count table)",
+         "worst-case window from the Eisenstein dimension c(Gamma)"),
+        (-11, 4, {"L": "-8", "bound": "5", "kind": "cusp_lower_bound", "mode": "exact",
+                  "tr0": "1", "tr1_eis": "-12", "tr2_eis": "-11"},
+         [], "principal-level Lefschetz number (surface-count table)",
+         "degree-1 Eisenstein trace via the cocycle span "
+         "(inert prime power, class number one)"),
+        (-2, 5, {"L": "-20", "bound": "12", "kind": "cusp_lower_bound", "mode": "exact",
+                 "tr0": "1", "tr1_eis": "-26", "tr2_eis": "-23"},
+         [], "prime-power-level Lefschetz number (odd unramified prime)",
+         "degree-1 Eisenstein trace via the cocycle span "
+         "(inert prime power, class number one)"),
+    ])
+    def test_bound_records_pinned(self, capsys, d, N, result, warnings, prov_L, prov_tr1):
+        # a composite level, the inert prime 2 and an odd inert prime each
+        # take their own branch of cusp_lower_bound
+        code, out, _ = run_cli(capsys, "bound", "--d", str(d), "--N", str(N), "--k", "0")
+        assert code == 0
+        (rec,) = records_of(out)
+        assert rec["result"] == result
+        assert rec["warnings"] == warnings
+        assert rec["provenance"] == {
+            "L": prov_L,
+            "tr0": "trivial action on degree 0 of a connected space",
+            "tr1_eis": prov_tr1,
+            "tr2_eis": "degree-2 Eisenstein trace (unramified level)"}
+
     def test_tau_refused_where_only_sigma_is_defined(self, capsys):
         # the library has no tau branch at principal level; the parser is the guard
         for command in (["bound"], ["lefschetz", "principal"]):
@@ -99,7 +130,7 @@ class TestBoundCommand:
         # negative fixed-surface counts break make_level's invariant, which
         # must stay a conformance error under python -O
         monkeypatch.setattr(lefschetz, "_table_ab",
-                            lambda d_mod4, j2, ts: (Fraction(-1), Fraction(0)))
+                            lambda d_mod4, v2, ts: (Fraction(-1), Fraction(0)))
         code, out, err = run_cli(capsys, "bound", "--d", "-7", "--N", "3", "--k", "0")
         assert code == 2
         assert not out
@@ -164,6 +195,19 @@ class TestEisensteinCommands:
         assert code == 1
         assert not out
         assert err == "error: weight must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("d, N, message", [
+        (-2, 2, "trace_sigma_h2_eis requires N >= 3 (or N = 1), got 2"),
+        (-2, 0, "invalid level 0"),
+        (-5, 5, "trace_sigma_h2_eis requires unramified level; 5 ramifies in Q(sqrt(-5))"),
+    ])
+    def test_h2_refusals(self, capsys, d, N, message):
+        # `table` error records carry these messages, so their wording is pinned
+        code, out, err = run_cli(capsys, "eisenstein", "h2", "--d", str(d), "--N", str(N),
+                                 "--k", "0", "--involution", "sigma")
+        assert code == 1
+        assert not out
+        assert err == f"error: {message}\n"
 
     def test_h1(self, capsys):
         code, out, _ = run_cli(capsys, "eisenstein", "h1", "--d", "-2", "--p", "5",

@@ -26,10 +26,26 @@ class TestRohlfsTable:
             return level.A, level.B
 
         assert ab(F7, 9) == (1, 0)                 # d = 1 mod 4, t = s = 1
-        assert ab(F5, 3) == (2, 1)                 # d = 3 mod 4, j2 = 0
-        a, b = ab(F2, 5)                           # d = 2 mod 4, j2 = 0, t - s = 0
+        assert ab(F5, 3) == (2, 1)                 # d = 3 mod 4, v2 = 0
+        a, b = ab(F2, 5)                           # d = 2 mod 4, v2 = 0, t - s = 0
         assert (a, b) == (1, Fraction(1, 2))
         assert a + 2 * b == 2
+
+    @pytest.mark.parametrize("d, N, A, B, L0", [
+        # v2 = 1, reached only at composite levels
+        (-2, 6, 8, 0, -96), (-2, 10, 8, 0, -480), (-5, 6, 16, 0, -192),
+        (-6, 10, 16, 0, -960),
+        # v2 >= 2, for d = 2 and d = 3 mod 4
+        (-2, 4, 8, 0, -32), (-2, 8, 8, 0, -256), (-5, 4, 16, 0, -64),
+        (-5, 8, 16, 0, -512), (-2, 12, 4, 0, -384),
+        # d = 1 mod 4, where 2 does not ramify
+        (-7, 4, 2, 0, -8), (-7, 6, 1, 0, -12), (-11, 4, 2, 0, -8),
+    ])
+    def test_two_adic_rows(self, d, N, A, B, L0):
+        field = make_field(d)
+        level = make_level(field, N)
+        assert (level.A, level.B) == (A, B)
+        assert lefschetz_sigma_principal(field, level, 0) == L0
 
     def test_warning_flag_on_fractional_b(self):
         assert make_level(F2, 5).ab_warning

@@ -23,6 +23,10 @@ peak or a budget.
 Every `.py` under `src/`, `tests/` and `demos/` parses at the Python floor
 that `pyproject.toml` declares, so syntax from a later release fails here
 and not on a user's older interpreter.
+
+Every module-level import under `src/`, `tests/` and `demos/` is loaded by
+name in its module, so deleting code cannot leave its imports behind.  The
+package `__init__.py` is exempt: its imports re-export.
 """
 
 import ast
@@ -129,6 +133,33 @@ def test_oracles_import_nothing_they_check():
                         "quadfield.QuadField"}
 
 
+def _unused_imports(path):
+    """Names a module imports at its top level and never loads."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import):
+            bound |= {(a.asname or a.name.split(".")[0]): stmt.lineno for a in stmt.names}
+        elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+            bound |= {(a.asname or a.name): stmt.lineno for a in stmt.names}
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{line} {name}" for name, line in bound.items() if name not in loaded]
+
+
+def _sources():
+    """Every `.py` under `src/`, `tests/` and `demos/`."""
+    return [path for top in ("src", "tests", "demos")
+            for path in sorted((SRC.parent / top).rglob("*.py"))]
+
+
+def test_no_unused_module_imports():
+    files = [path for path in _sources() if path.name != "__init__.py"]
+    assert len(files) > 20
+    unused = [f"{path.relative_to(SRC.parent)}:{entry}"
+              for path in files for entry in _unused_imports(path)]
+    assert unused == []
+
+
 def _python_floor():
     text = (SRC.parent / "pyproject.toml").read_text()
     major, minor = re.search(r'requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', text).groups()
@@ -138,8 +169,7 @@ def _python_floor():
 def test_sources_parse_at_the_python_floor():
     floor = _python_floor()
     assert floor == (3, 10)
-    files = [path for top in ("src", "tests", "demos")
-             for path in sorted((SRC.parent / top).rglob("*.py"))]
+    files = _sources()
     assert len(files) > 20
     rejected = []
     for path in files:
