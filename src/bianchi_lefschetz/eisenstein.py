@@ -31,8 +31,8 @@ from itertools import chain, islice, product, repeat
 from typing import NamedTuple
 
 from .exactmath import ConformanceError, InputError, as_integer, factorize, require_bytes
-from .quadfield import (INERT, RAMIFIED, SIGMA, TAU, QuadField, norm_euler_product,
-                        splitting_type, two_torsion_count)
+from .quadfield import (INERT, RAMIFIED, SIGMA, TAU, QuadField, ambiguous_form_count,
+                        norm_euler_product, splitting_type, two_torsion_count)
 
 LITERAL_D = "literal-d"
 INVERSE_DIFFERENT = "inverse-different"
@@ -126,9 +126,11 @@ class LevelOneTraces(NamedTuple):
 def level_one_sigma_traces(field: QuadField, k: int) -> LevelOneTraces:
     if k < 0:
         raise InputError(f"weight must be >= 0, got {k}")
+    # sigma-fixed cusps as ambiguous forms, not trace_h2_eis's 2^(t-1)
+    fixed_cusps = ambiguous_form_count(field.D)
     if k == 0:
-        return LevelOneTraces(tr0=1, tr1=-field.h, tr2=-two_torsion_count(field) + 1)
-    return LevelOneTraces(tr0=0, tr1=None, tr2=-two_torsion_count(field))
+        return LevelOneTraces(tr0=1, tr1=-field.h, tr2=-fixed_cusps + 1)
+    return LevelOneTraces(tr0=0, tr1=None, tr2=-fixed_cusps)
 
 
 def trace_sigma_h1_eis(field: QuadField, p: int, n: int) -> int:

@@ -37,9 +37,6 @@ BRACKET_VARIANTS = (RATIONAL, KRONECKER, TORSION_CHAR)
 # only reading that keeps every even-weight integrality and parity check.
 DEFAULT_BRACKET = TORSION_CHAR
 
-S_ODD_PRIMES = "odd-primes-of-level"   # count all odd rational primes dividing N
-S_LITERAL = "odd-ramified-of-level"    # count only the odd ramified ones
-
 
 @lru_cache(maxsize=512)
 def bracket_factor(variant: str, modulus: int, k: int) -> Fraction:
@@ -98,17 +95,12 @@ def _table_ab(d_mod4: int, v2: int, ts: int) -> tuple[Fraction, Fraction]:
     return 8 * two ** (ts - 1), Fraction(0)
 
 
-def make_level(field: QuadField, N: int, s_mode: str = S_ODD_PRIMES) -> Level:
+def make_level(field: QuadField, N: int) -> Level:
     if N <= 2:
         raise InputError(f"principal levels require N > 2, got {N}")
-    if s_mode not in (S_ODD_PRIMES, S_LITERAL):
-        raise InputError(f"unknown s_mode {s_mode!r}")
     factors = tuple((p, e, splitting_type(field, p)) for p, e in factorize(N))
     v2 = next((e for p, e, _ in factors if p == 2), 0)
-    if s_mode == S_ODD_PRIMES:
-        s = sum(1 for p, _, _ in factors if p != 2)
-    else:
-        s = sum(1 for p, _, spl in factors if p != 2 and spl == RAMIFIED)
+    s = sum(1 for p, _, _ in factors if p != 2)  # the odd rational primes dividing N
     A, B = _table_ab(field.d % 4, v2, field.t - s)
     if A < 0 or B < 0 or A + 2 * B <= 0:
         raise ConformanceError(f"fixed-surface counts A={A}, B={B} at (d={field.d}, "

@@ -14,23 +14,22 @@ from math import gcd, isqrt, pi, sqrt
 from .exactmath import ConformanceError, InputError
 from .quadfield import QuadField
 
-HILBERT_ORACLE_EXP = 9  # the search runs modulo 2**9, enough to Hensel-lift
+HILBERT_ORACLE_MOD = 2**9  # the search runs modulo 2**9, enough to Hensel-lift
 
 
-@lru_cache(maxsize=4)
-def _square_classes(exp: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...],
-                                        tuple[int, ...]]:
-    """The distinct pairs (x^2 mod 2**exp, x mod 2) over all residues x, and
+@lru_cache(maxsize=1)
+def _square_classes() -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]]:
+    """The distinct pairs (x^2 mod 2**9, x mod 2) over all residues x, and
     the shifted square masks hit_all[k], hit_odd[k]: bit t is set when
-    (t + k) mod 2**exp is a square, respectively the square of an odd number.
-    Built once per exp.
+    (t + k) mod 2**9 is a square, respectively the square of an odd number.
+    Built once.
     """
-    mod = 1 << exp
+    mod = HILBERT_ORACLE_MOD
     classes = tuple(sorted({(x * x % mod, x % 2) for x in range(mod)}))
     full = (1 << mod) - 1
 
     def shifted(mask: int) -> tuple[int, ...]:
-        # bit t of the k-th rotation is bit (t + k) mod 2**exp of mask
+        # bit t of the k-th rotation is bit (t + k) mod 2**9 of mask
         return tuple((mask >> k | mask << (mod - k)) & full for k in range(mod))
 
     squares_all = sum(1 << sq for sq in {sq for sq, _ in classes})
@@ -39,41 +38,39 @@ def _square_classes(exp: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, .
 
 
 @lru_cache(maxsize=64)
-def _value_masks(b: int, exp: int) -> tuple[int, int]:
-    """Bitmasks of the values b y^2 mod 2**exp over the square classes of y,
+def _value_masks(b: int) -> tuple[int, int]:
+    """Bitmasks of the values b y^2 mod 2**9 over the square classes of y,
     one for y even and one for y odd."""
-    mod = 1 << exp
     by = [0, 0]
-    for sq, odd in _square_classes(exp)[0]:
-        by[odd] |= 1 << (b * sq % mod)
+    for sq, odd in _square_classes()[0]:
+        by[odd] |= 1 << (b * sq % HILBERT_ORACLE_MOD)
     return by[0], by[1]
 
 
-def hilbert2_norm_search(a: int, b: int, exp: int = HILBERT_ORACLE_EXP) -> int:
-    """Decide (a,b)_2 by exhaustive search for z^2 = a x^2 + b y^2 mod 2**exp.
+def hilbert2_norm_search(a: int, b: int) -> int:
+    """Decide (a,b)_2 by exhaustive search for z^2 = a x^2 + b y^2 mod 2**9.
 
     A solution must have a unit coordinate (not all of x, y, z even);
     primitive solutions modulo 2**9 lift 2-adically for the |a|, |b| used
     in the tests (valuations at most 1).
 
     Whether (x, y) gives a solution depends on x only through
-    (x^2 mod 2**exp, x mod 2), and on y the same way: 87 classes each mod
-    2**9.  The values b y^2 of the y-classes are held as one bitmask per
+    (x^2 mod 2**9, x mod 2), and on y the same way: 87 classes each.
+    The values b y^2 of the y-classes are held as one bitmask per
     parity of y, so an x-class with k = a x^2 is decided by ANDing them
     with the masks of t for which t + k is a square (of an odd z when x and
     y are both even).  This is the same exhaustive predicate over the same
     class pairs; nothing about square classes is assumed, so the route stays
     independent of the closed formula.  The y-side masks are memoised per
-    (b, exp) in `_value_masks`, since a grid of pairs repeats each b.
+    b in `_value_masks`, since a grid of pairs repeats each b.
     """
     if a == 0 or b == 0:
         raise InputError("hilbert2_norm_search requires nonzero arguments")
-    mod = 1 << exp
-    classes, hit_all, hit_odd = _square_classes(exp)
-    by_even, by_odd = _value_masks(b, exp)
+    classes, hit_all, hit_odd = _square_classes()
+    by_even, by_odd = _value_masks(b)
     by_any = by_even | by_odd
     for sq, odd in classes:
-        k = a * sq % mod
+        k = a * sq % HILBERT_ORACLE_MOD
         if odd:
             found = hit_all[k] & by_any
         else:

@@ -152,8 +152,15 @@ def reduced_forms(D: int) -> list[tuple[int, int, int]]:
     return forms
 
 
+@lru_cache(maxsize=256)
+def _form_counts(D: int) -> tuple[int, int]:
+    """h(D) and the ambiguous-form count, one pass; the forms are not kept."""
+    forms = reduced_forms(D)
+    return len(forms), sum(1 for (a, b, c) in forms if b == 0 or a == b or a == c)
+
+
 def class_number_from_discriminant(D: int) -> int:
-    return len(reduced_forms(D))
+    return _form_counts(D)[0]
 
 
 def ambiguous_form_count(D: int) -> int:
@@ -163,7 +170,7 @@ def ambiguous_form_count(D: int) -> int:
     theory says there are 2^(t-1) of them for a fundamental D with t
     ramified primes, which is what the tests cross-check.
     """
-    return sum(1 for (a, b, c) in reduced_forms(D) if b == 0 or a == b or a == c)
+    return _form_counts(D)[1]
 
 
 @lru_cache(maxsize=256)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from bianchi_lefschetz import bounds, cli, finitering, lefschetz, quadfield, verify
+from bianchi_lefschetz import bounds, cli, eisenstein, finitering, lefschetz, quadfield, verify
 from bianchi_lefschetz.cli import argv_of_record, emit, main
 from bianchi_lefschetz.exactmath import ConformanceError, InputError
 from test_numpy_free import COMMANDS
@@ -363,6 +363,28 @@ class TestVerifyCommand:
         assert "FAIL symbols: hilbert2 bimultiplicativity on the small square-free grid" in out
         assert "PASS symbols: hilbert2 symmetry on the square-free grid |a|,|b| <= 50" in out
 
+    def test_level_one_degree_two_check_can_fail(self, capsys, monkeypatch):
+        # one fixed cusp too many in trace_h2_eis's 2^(t-1); the level-one
+        # traces count the ambiguous forms, so the two routes part
+        monkeypatch.setattr(eisenstein, "two_torsion_count", lambda f: 2 ** (f.t - 1) + 1)
+        code, out, _ = run_cli(capsys, "verify", "anchors")
+        assert code == 2
+        assert ("FAIL anchors: level-one degree-2 trace consistent between "
+                "the two routes") in out
+        assert "PASS anchors: level-one sigma traces at (d=-5, k=0) == (1, -2, -1)" in out
+
+    def test_classgroup_enumerates_each_discriminant_once(self, capsys, monkeypatch):
+        quadfield.make_field.cache_clear()
+        quadfield._form_counts.cache_clear()
+        enumerated = []
+        real = quadfield.reduced_forms
+        monkeypatch.setattr(quadfield, "reduced_forms",
+                            lambda D: enumerated.append(D) or real(D))
+        code, out, err = run_cli(capsys, "verify", "classgroup")
+        assert code == 0, err
+        assert "FAIL" not in out.replace("hard failures", "")
+        assert len(enumerated) == len(set(enumerated)) == 120
+
     def test_verify_all_output_is_pinned(self, capsys):
         # every line, DIAG text included, as the suites printed it when pinned
         code, out, err = run_cli(capsys, "verify", "all")
@@ -411,8 +433,10 @@ def test_each_query_builds_its_field_once(monkeypatch, capsys, tmp_path):
 
 
 def test_table_enumerates_each_field_once(monkeypatch, capsys):
-    # make_field is memoised, so clear it before counting what it calls
+    # make_field and the form counts are memoised, so clear both before
+    # counting what they call
     quadfield.make_field.cache_clear()
+    quadfield._form_counts.cache_clear()
     enumerated = []
     real = quadfield.reduced_forms
     monkeypatch.setattr(quadfield, "reduced_forms",

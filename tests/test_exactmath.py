@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from bianchi_lefschetz import oracles
 from bianchi_lefschetz.exactmath import (ConformanceError, InputError, as_integer,
                                          factorize, hilbert2, is_prime, kronecker,
                                          legendre, sym_power_trace)
@@ -207,20 +208,36 @@ def _norm_search_ref(a, b, exp):
     return 1 if bool(solvable.any()) else -1
 
 
+@pytest.fixture
+def search_modulus(monkeypatch):
+    # the search reads its modulus 2**exp from one module constant, and a
+    # smaller one makes the full residue grid cheap; its two memos hold
+    # tables for one modulus, so they are emptied on the way in and out
+    def at(exp):
+        monkeypatch.setattr(oracles, "HILBERT_ORACLE_MOD", 1 << exp)
+        oracles._square_classes.cache_clear()
+        oracles._value_masks.cache_clear()
+
+    yield at
+    oracles._square_classes.cache_clear()
+    oracles._value_masks.cache_clear()
+
+
 ODD_UNITS = [s * u for u in range(1, 16, 2) for s in (1, -1)]
 TWO_ADIC_VALUES = [2**v * u for v in range(9) for u in ODD_UNITS]  # +-2^v u, v <= 8
 
 
 class TestNormSearchAgainstFullGrid:
     @pytest.mark.parametrize("exp", [5, 7])
-    def test_every_residue_pair(self, exp):
+    def test_every_residue_pair(self, exp, search_modulus):
         # both searches read a and b only mod 2**exp; one value per residue
         # keeps all 144 x 144 pairs covered (every residue at exp = 5)
+        search_modulus(exp)
         mod = 1 << exp
         reps = list({v % mod: v for v in TWO_ADIC_VALUES}.values())
         for a in reps:
             for b in reps:
-                assert hilbert2_norm_search(a, b, exp) == _norm_search_ref(a, b, exp), (a, b)
+                assert hilbert2_norm_search(a, b) == _norm_search_ref(a, b, exp), (a, b)
 
     def test_every_valuation_pair_at_exp_9(self):
         # the full grid costs about 5 ms a pair, so each pair of valuations
@@ -252,13 +269,14 @@ def _norm_search_by_arrays(a, b, exp):
 
 
 @pytest.mark.parametrize("exp", [5, 7, 9])
-def test_norm_search_matches_array_search(exp):
+def test_norm_search_matches_array_search(exp, search_modulus):
     # every pair of +-2^v u (v <= 8, odd u <= 15), one value per residue pair
+    search_modulus(exp)
     mod = 1 << exp
     reps = list({v % mod: v for v in TWO_ADIC_VALUES}.values())
     for a in reps:
         for b in reps:
-            assert hilbert2_norm_search(a, b, exp) == _norm_search_by_arrays(a, b, exp), (a, b)
+            assert hilbert2_norm_search(a, b) == _norm_search_by_arrays(a, b, exp), (a, b)
 
 
 def _is_prime_by_miller_rabin(n):

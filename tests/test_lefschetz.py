@@ -5,18 +5,28 @@ import pytest
 
 from bianchi_lefschetz.exactmath import InputError, is_prime, legendre
 from bianchi_lefschetz.lefschetz import (BRACKET_VARIANTS, DEFAULT_BRACKET,
-                                         KRONECKER, RATIONAL, S_LITERAL,
-                                         TORSION_CHAR, _level_one_coefficients,
+                                         KRONECKER, RATIONAL, TORSION_CHAR,
+                                         _level_one_coefficients, _table_ab,
                                          adjudicate_brackets, bracket_factor, hilbert_at,
                                          lefschetz_level_one,
                                          lefschetz_sigma_prime_power,
                                          lefschetz_sigma_principal, make_level,
                                          summary_lines)
-from bianchi_lefschetz.quadfield import (SIGMA, TAU, is_square_free, make_field,
-                                         two_torsion_count)
+from bianchi_lefschetz.quadfield import (RAMIFIED, SIGMA, TAU, is_square_free,
+                                         make_field, two_torsion_count)
 
 F2, F5, F7, F11 = (make_field(d) for d in (-2, -5, -7, -11))
 GRID = (F2, F5, F7, F11)
+
+
+def _odd_ramified_level(field, N):
+    # the retired reading of s, which counts only the odd ramified primes
+    # of the level, kept as evidence for the choice between the two
+    level = make_level(field, N)
+    v2 = next((e for p, e, _ in level.factors if p == 2), 0)
+    s = sum(1 for p, _, spl in level.factors if p != 2 and spl == RAMIFIED)
+    A, B = _table_ab(field.d % 4, v2, field.t - s)
+    return level._replace(A=A, B=B)
 
 
 class TestRohlfsTable:
@@ -51,15 +61,25 @@ class TestRohlfsTable:
         assert make_level(F2, 5).ab_warning
         assert not make_level(F5, 3).ab_warning
 
-    def test_literal_s_mode_differs_on_unramified_prime(self):
+    def test_odd_ramified_reading_differs_on_unramified_prime(self):
         # with s counting only odd ramified primes of the level, an inert
         # odd prime level gets s = 0 instead of 1, so the table exponent
         # t - s is 1 instead of 0 (d = 1 mod 4: A = 2^(t-s), B = 0)
         default = make_level(F7, 3)
-        literal = make_level(F7, 3, s_mode=S_LITERAL)
+        literal = _odd_ramified_level(F7, 3)
         assert (default.A, default.B) == (1, 0)
         assert (literal.A, literal.B) == (2, 0)
         assert literal.a_plus_2b == 2 * default.a_plus_2b
+
+    @pytest.mark.parametrize("field, N, L0", [
+        (F7, 3, -4), (F11, 3, -4), (F7, 5, -20), (F11, 5, -20),
+    ])
+    def test_odd_ramified_reading_pins(self, field, N, L0):
+        # the L(sigma) a homology oracle measured at these levels; the
+        # shipped reading gives half of each
+        level = _odd_ramified_level(field, N)
+        assert lefschetz_sigma_principal(field, level, 0) == L0
+        assert lefschetz_sigma_principal(field, N, 0) * 2 == L0
 
     def test_rejects_small_levels(self):
         with pytest.raises(InputError):
