@@ -32,16 +32,20 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _fmt(x) -> str:
+def _fmt(key: str, x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
-    return str(x)
+    try:
+        return str(x)
+    except ValueError:   # an integer past the interpreter's limit on decimal digits
+        raise InputError(f"result {key} has more than {sys.get_int_max_str_digits()} "
+                         "digits, too many to print") from None
 
 
 def _record(query: dict, field: QuadField | None, result: dict,
             warnings: list[str] | None = None, provenance: dict | None = None) -> dict:
     """The one record; result values are formatted here and a None is dropped."""
-    result = {key: _fmt(val) for key, val in result.items() if val is not None}
+    result = {key: _fmt(key, val) for key, val in result.items() if val is not None}
     rec = {"query": query, "result": result, "warnings": warnings or [],
            "provenance": provenance or {}}
     if field is not None:
@@ -213,12 +217,11 @@ def _cmd_table(args) -> list[dict]:
         try:
             field = make_field(d)
             result, warnings, provenance = _cmd_bound(argparse.Namespace(N=N, k=k), field)
+            result.update(d=d, N=N, k=k)
+            rec = _record(query, field, result, warnings, provenance)
         except (InputError, ConformanceError) as exc:
             rec = _record(query, None, {"kind": "error", "d": d, "N": N, "k": k,
                                         "message": exc})
-        else:
-            result.update(d=d, N=N, k=k)
-            rec = _record(query, field, result, warnings, provenance)
         records.append(rec)
     return records
 

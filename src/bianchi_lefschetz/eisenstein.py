@@ -16,9 +16,10 @@ the defect of M^2 = I from four kernel sizes of O(N^2) steps each, both
 in O(N^2) memory.  The dense (N^4-1)^2 matrix is only ever written out, as
 the matrix dump, whose rows are joined from a table of per-block cells.
 Which character phi and which pairing argument make this well defined is
-not obvious; three readings are registered as CharacterVariant and the
-construction-time periodicity check plus the trace / involution tests
-pick the survivor rather than assuming one.
+not obvious, so three readings are registered in CHARACTER_VARIANTS:
+construction refuses literal-d, whose character is not periodic on O,
+and sczech_operator writes the Gram matrices of the other two, whose
+shapes decide which one has the trace -(N^2+1).
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ def fixed_coset_formula(p: int, n: int, involution: str) -> int:
     p^{2n} - p^{2n-2} for sigma and p^{2n-1} - p^{2n-2} for tau."""
     if involution not in (SIGMA, TAU):
         raise InputError(f"unknown involution {involution!r}")
+    require_bytes(2 * n * p.bit_length() // 8, f"the integer {p}^{2 * n}")
     return p ** (2 * n if involution == SIGMA else 2 * n - 1) - p ** (2 * n - 2)
 
 
@@ -306,37 +308,22 @@ class SczechOperator:
         return float(max(abs(e) for e in occurring))
 
 
-def _pairing(field: QuadField, N: int, variant: str, x, z) -> int:
-    """Exponent e of the entry at row x, column z: its character value is
-    exp(2 pi i e / N).
-
-    Write y(w) for the omega-coefficient of w in O, which is the perfect
-    residue pairing Tr(w / sqrt(D)).  On integral lifts alpha = N*s,
-    beta = N*t (row x) and gamma = N*u, delta = N*v (column z):
-
-      symplectic-invdiff: e = y(alpha*delta - beta*gamma), the
-        inverse-different character of the symplectic argument s*v - t*u;
-      inverse-different:  e = y(alpha*conj(delta) - beta*conj(gamma)),
-        the same character of the conjugated argument s*conj(v) - t*conj(u).
-
-    Both are well defined mod N on residue-encoded classes; only the
-    symplectic argument vanishes on the diagonal.
-    """
-    T = field.omega_trace
-
-    def y_prod(x1, x2, z1, z2):
-        # omega-coefficient of (x1 + x2 w)(z1 + z2 w)
-        return x1 * z2 + x2 * z1 + T * x2 * z2
-
-    g1, g2, d1, d2 = z                      # gamma, delta
-    if variant == INVERSE_DIFFERENT:
-        g1, g2, d1, d2 = g1 + T * g2, -g2, d1 + T * d2, -d2
-    a1, b1, a2, b2 = x
-    return (y_prod(a1, b1, d1, d2) - y_prod(a2, b2, g1, g2)) % N
-
-
 def sczech_operator(field: QuadField, N: int, variant: str = DEFAULT_VARIANT) -> SczechOperator:
-    """The operator for the chosen variant, held as the Gram matrix of its pairing."""
+    """The operator for the chosen variant, held as the Gram matrix of its pairing.
+
+    Entry (x, z), x = (a1, b1, a2, b2) and z = (g1, g2, d1, d2), has exponent
+    y(alpha delta - beta gamma) mod N on alpha = a1 + b1 w, beta = a2 + b2 w,
+    gamma = g1 + g2 w, delta = d1 + d2 w, where y(w) is the omega-coefficient,
+    the residue pairing Tr(w / sqrt(D)): y((x1 + x2 w)(z1 + z2 w)) =
+    x1 z2 + x2 z1 + T x2 z2 with T = w + conj(w), which gives the A below (row
+    i, column j: the exponent at x = e_i, z = e_j).  inverse-different takes
+    conj(gamma) and conj(delta), and conj(g1 + g2 w) = (g1 + T g2) - g2 w
+    cancels every T.  symplectic-invdiff's A is antisymmetric: q(x) = x^T A x
+    vanishes and the trace is -(N^2 + 1) for every field.  inverse-different's
+    is symmetric and free of T, q(x) = 2 (x1 x2 - x0 x3): its trace is the same
+    for every field, -(N^2 + S) / N^2 with the Gauss sum S = (N gcd(2, N))^2,
+    so -2 at odd N and -5 at even N, meeting -(N^2 + 1) only at N = 2.
+    """
     if N < 2:
         raise InputError(f"sczech_operator requires N >= 2, got {N}")
     require_bytes(_BYTES_PER_PAIR * N**2, f"the operator at N={N}")
@@ -347,10 +334,12 @@ def sczech_operator(field: QuadField, N: int, variant: str = DEFAULT_VARIANT) ->
         raise IllDefinedVariantError(
             f"variant {variant!r} is not O-periodic (defect {defect:.3e}); "
             "it does not define an operator on classes of torsion points")
-    # the pairing on the four basis vectors is A
-    basis = [tuple(int(i == j) for j in range(4)) for i in range(4)]
-    gram = tuple(tuple(_pairing(field, N, variant, x, z) for z in basis) for x in basis)
-    return SczechOperator(N, gram)
+    T = field.omega_trace
+    if variant == SYMPLECTIC_INVDIFF:
+        gram = ((0, 0, 0, 1), (0, 0, 1, T), (0, -1, 0, 0), (-1, -T, 0, 0))
+    else:
+        gram = ((0, 0, 0, -1), (0, 0, 1, 0), (0, 1, 0, 0), (-1, 0, 0, 0))
+    return SczechOperator(N, [[a % N for a in row] for row in gram])
 
 
 class SczechTrace(NamedTuple):

@@ -25,7 +25,7 @@ from math import prod
 from typing import NamedTuple
 
 from .exactmath import (ConformanceError, InputError, as_integer, factorize, hilbert2,
-                        kronecker, legendre, sym_power_trace)
+                        kronecker, legendre, require_bytes, sym_power_trace)
 from .quadfield import RAMIFIED, SIGMA, TAU, QuadField, splitting_type, two_torsion_count
 
 RATIONAL = "rational"
@@ -46,7 +46,8 @@ def bracket_factor(variant: str, modulus: int, k: int) -> Fraction:
     anchor is what makes the weight-zero cross-identities variant-free.
     For k >= 1 the readings diverge: plain rational division, the
     Kronecker symbol (k+1 | modulus), or the symmetric-power character of
-    an element of order 4 (trace 0) resp. 3 (trace -1).
+    an element of order 4 (trace 0) resp. 3 (trace -1), which has period
+    modulus in k and is read at k mod modulus.
     """
     if modulus not in (3, 4):
         raise InputError(f"bracket modulus must be 3 or 4, got {modulus}")
@@ -57,7 +58,7 @@ def bracket_factor(variant: str, modulus: int, k: int) -> Fraction:
     if variant == KRONECKER:
         return Fraction(kronecker(k + 1, modulus))
     if variant == TORSION_CHAR:
-        return Fraction(sym_power_trace(0 if modulus == 4 else -1, k))
+        return Fraction(sym_power_trace(0 if modulus == 4 else -1, k % modulus))
     raise InputError(f"unknown bracket variant {variant!r}")
 
 
@@ -140,6 +141,7 @@ def lefschetz_sigma_prime_power(field: QuadField, p: int, n: int, k: int) -> int
         raise InputError(f"prime {p} ramifies in {field}; formula does not apply")
     if n < 1 or k < 0:
         raise InputError("need n >= 1 and k >= 0")
+    require_bytes(3 * n * p.bit_length() // 8, f"the integer {p}^{3 * n}")
     e = field.t - 1 if field.d % 4 == 1 else field.t
     val = Fraction(-(2**e) * (p ** (3 * n) - p ** (3 * n - 2)) * (k + 1), 12)
     return as_integer(val, f"L(sigma, Gamma({p}^{n}), k={k})")

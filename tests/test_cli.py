@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +12,7 @@ import pytest
 from bianchi_lefschetz import bounds, cli, eisenstein, finitering, lefschetz, quadfield, verify
 from bianchi_lefschetz.cli import argv_of_record, emit, main
 from bianchi_lefschetz.exactmath import ConformanceError, InputError
-from test_numpy_free import COMMANDS
+from test_numpy_free import COMMANDS, SRC, leaf_commands
 
 
 def run_cli(capsys, *argv):
@@ -281,6 +284,74 @@ class TestTableCommand:
         lines = out.strip().split("\n")
         assert all(line.endswith(r"\\") for line in lines)
         assert " & " in lines[0]
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default limit on printing an int, 4300 digits."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+class TestOutOfRangeIntegers:
+    @pytest.mark.parametrize("argv, key", [
+        (["eisenstein", "h1", "--d", "-2", "--p", "5", "--n", "4000"], "trace"),
+        (["lefschetz", "principal", "--d", "-2", "--N", str(2**5000), "--k", "0"], "L"),
+        (["bound", "--d", "-2", "--N", str(5**3000), "--k", "0"], "bound"),
+    ], ids=["h1-n4000", "principal-2^5000", "bound-5^3000"])
+    def test_unprintable_result_is_input_error(self, capsys, digit_limit, argv, key):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert not out
+        assert err == f"error: result {key} has more than 4300 digits, too many to print\n"
+
+    def test_table_keeps_its_printable_points(self, capsys, digit_limit):
+        code, out, err = run_cli(capsys, "table", "--d-list", "-2",
+                                 "--N-list", "5", str(5**3000), "--k-list", "0")
+        assert code == 0, err
+        good, bad = records_of(out)
+        assert (good["result"]["N"], good["result"]["bound"]) == ("5", "12")
+        assert bad["result"] == {"kind": "error", "d": "-2", "N": str(5**3000), "k": "0",
+                                 "message": "result bound has more than 4300 digits, "
+                                            "too many to print"}
+
+    def test_power_past_the_memory_budget_is_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "eisenstein", "h1", "--d", "-2", "--p", "5",
+                                 "--n", str(10**10))
+        assert code == 1
+        assert not out
+        assert err.startswith("error: the integer 5^20000000000 needs about ")
+
+    def test_every_leaf_ends_cleanly(self):
+        # one fresh process per leaf, with integers out of every sensible range
+        argvs = [
+            ["field", "--d", str(-10**20)],
+            ["lefschetz", "principal", "--d", "-2", "--N", str(2**5000), "--k", "0"],
+            ["lefschetz", "level-one", "--d", "-2", "--k", str(10**12), "--involution", "tau"],
+            ["eisenstein", "h2", "--d", "-2", "--N", str(5**3000), "--k", "0",
+             "--involution", "tau"],
+            ["eisenstein", "h1", "--d", "-2", "--p", "5", "--n", "4000"],
+            ["eisenstein", "h1", "--d", "-2", "--p", "5", "--n", str(10**10)],
+            ["sczech", "--d", "-2", "--N", str(10**6)],
+            ["bound", "--d", "-2", "--N", str(5**3000), "--k", "0"],
+            ["gl2", "--d", "-2", "--k", str(10**12)],
+            ["table", "--d-list", "-2", "--N-list", "5", str(5**3000), "--k-list", "0"],
+            ["verify", str(10**20)],
+        ]
+        leaves = leaf_commands(cli.build_parser())
+        assert leaves == {leaf for leaf in leaves for a in argvs if tuple(a[:len(leaf)]) == leaf}
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        for argv in argvs:
+            proc = subprocess.run([sys.executable, "-m", "bianchi_lefschetz", *argv],
+                                  capture_output=True, text=True, env=env, timeout=5)
+            what = " ".join(argv)[:80]
+            assert "Traceback" not in proc.stdout + proc.stderr, what
+            assert proc.returncode in (0, 1, 2), what
+            if proc.returncode == 1:
+                assert proc.stderr.startswith("error: "), what
 
 
 class TestVerifyCommand:

@@ -12,7 +12,7 @@ from bianchi_lefschetz.bounds import cusp_lower_bound
 from bianchi_lefschetz.eisenstein import (CHARACTER_VARIANTS, DEFAULT_VARIANT,
                                           INVERSE_DIFFERENT, LITERAL_D,
                                           IllDefinedVariantError, SczechOperator,
-                                          _pairing, cusp_count, fixed_coset_formula,
+                                          cusp_count, fixed_coset_formula,
                                           level_one_sigma_traces, sczech_operator,
                                           sczech_trace, trace_h2_eis, trace_sigma_h1_eis,
                                           variant_periodicity_defect,
@@ -28,11 +28,36 @@ DEGENERATE_GRAMS = (np.zeros((4, 4), dtype=np.int64), np.diag([1, 0, 0, 0]),
                     np.array([[0, 1, 0, 0], [3, 0, 0, 2], [0, 0, 0, 0], [1, 2, 0, 1]]))
 
 
+def pairing(field, N, variant, x, z):
+    """Exponent e of the entry at row x, column z, from the definition: its
+    character value is exp(2 pi i e / N).
+
+    Row x = (a1, b1, a2, b2) lifts to alpha = a1 + b1 w, beta = a2 + b2 w and
+    column z = (g1, g2, d1, d2) to gamma = g1 + g2 w, delta = d1 + d2 w in O,
+    and y(w) is the omega-coefficient, the residue pairing Tr(w / sqrt(D)):
+
+      symplectic-invdiff: e = y(alpha*delta - beta*gamma);
+      inverse-different:  e = y(alpha*conj(delta) - beta*conj(gamma)).
+    """
+    T, n = field.omega_trace, field.omega_norm
+
+    def times(u, v):                 # (u0 + u1 w)(v0 + v1 w) with w^2 = T w - n
+        return (u[0] * v[0] - n * u[1] * v[1], u[0] * v[1] + u[1] * v[0] + T * u[1] * v[1])
+
+    def conj(u):                     # conj(w) = T - w
+        return (u[0] + T * u[1], -u[1])
+
+    alpha, beta, gamma, delta = x[:2], x[2:], z[:2], z[2:]
+    if variant == INVERSE_DIFFERENT:
+        gamma, delta = conj(gamma), conj(delta)
+    return (times(alpha, delta)[1] - times(beta, gamma)[1]) % N
+
+
 def dense_reference(field, N, variant):
     """The operator matrix with every exponent taken from the pairing of its
-    row and column (_pairing on the two quadruples), not from A."""
+    row and column (the definition on the two quadruples), not from A."""
     idx = list(product(range(N), repeat=4))[1:]
-    e = np.array([[_pairing(field, N, variant, x, z) for z in idx] for x in idx])
+    e = np.array([[pairing(field, N, variant, x, z) for z in idx] for x in idx])
     chi = np.exp(2j * np.pi * e / N)
     n2 = N * N
     return -1.0 / (n2 * (n2 - 1)) - chi / n2
@@ -128,6 +153,12 @@ class TestDegreeTwoTraces:
         with pytest.raises(InputError):
             fixed_coset_formula(3, 1, "rho")
 
+    def test_fixed_coset_formula_refuses_a_power_past_the_memory_budget(self):
+        # 5^(2 * 10^10) would take about 5.8 GB; it is refused, not computed
+        for involution in ("sigma", "tau"):
+            with pytest.raises(InputError, match=r"5\^20000000000 needs .* budget"):
+                fixed_coset_formula(5, 10**10, involution)
+
 
 class TestLevelOneTraces:
     def test_weight_zero_frozen(self):
@@ -193,6 +224,24 @@ class TestSczechOperator:
         # at N = 2 the two admissible variants coincide (negation is trivial)
         tr2 = sczech_trace(F2, 2, INVERSE_DIFFERENT)
         assert abs(tr2.value + 5) < 1e-8
+
+    def test_gram_literals_match_the_definition(self):
+        basis = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+        for d in (-2, -5, -6, -7, -11, -19, -23, -163):
+            f = make_field(d)
+            for N in range(2, 30):
+                for variant in ADMISSIBLE:
+                    want = tuple(tuple(pairing(f, N, variant, x, z) for z in basis)
+                                 for x in basis)
+                    assert sczech_operator(f, N, variant).gram == want
+
+    def test_inverse_different_trace_is_field_free(self):
+        # its Gram matrix is symmetric and free of T: q(x) = 2 (x1 x2 - x0 x3)
+        for N in range(2, 8):
+            traces = {sczech_trace(make_field(d), N, INVERSE_DIFFERENT).value
+                      for d in (-2, -5, -7, -11, -19)}
+            assert len(traces) == 1
+            assert abs(traces.pop() - (-5 if N % 2 == 0 else -2)) < 1e-9
 
     def test_matches_closed_degree_one_trace(self):
         tr = sczech_trace(F2, 5)

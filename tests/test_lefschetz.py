@@ -1,8 +1,10 @@
+import time
 from fractions import Fraction
 from math import prod
 
 import pytest
 
+from bianchi_lefschetz.bounds import gl2_trace_sigma1
 from bianchi_lefschetz.exactmath import InputError, is_prime, legendre
 from bianchi_lefschetz.lefschetz import (BRACKET_VARIANTS, DEFAULT_BRACKET,
                                          KRONECKER, RATIONAL, TORSION_CHAR,
@@ -117,6 +119,11 @@ class TestPrimePower:
         with pytest.raises(InputError):
             lefschetz_sigma_prime_power(F5, 5, 1, 0)
 
+    def test_refuses_a_power_past_the_memory_budget(self):
+        # 5^(3 * 10^10) would take about 8.7 GB; it is refused, not computed
+        with pytest.raises(InputError, match=r"5\^30000000000 needs .* budget"):
+            lefschetz_sigma_prime_power(F2, 5, 10**10, 0)
+
     def test_two_routes_agree(self):
         from bianchi_lefschetz.quadfield import splitting_type
         for f in GRID:
@@ -141,6 +148,24 @@ class TestBrackets:
         assert bracket_factor(KRONECKER, 4, 1) == 0     # k+1 = 2 even
         assert bracket_factor(TORSION_CHAR, 4, 2) == -1  # order-4 pattern 1,0,-1,0
         assert bracket_factor(TORSION_CHAR, 3, 1) == -1  # order-3 pattern 1,-1,0
+
+    def test_level_one_affine_in_the_weight_period(self):
+        # sgn and every bracket reading repeat with period 12 in k, up to the
+        # rational reading's and t1, t2's terms linear in k + 1, so L at
+        # k = 12 m + r is affine in m; m = 10**11 needs the periodic readings
+        m = 10**11
+        for f in GRID:
+            for involution in (SIGMA, TAU):
+                for v in BRACKET_VARIANTS:
+                    for r in range(1, 13):
+                        l0, l1, lm = (lefschetz_level_one(f, involution, 12 * j + r, v)
+                                      for j in (0, 1, m))
+                        assert lm == l0 + m * (l1 - l0), (f.d, involution, v, r)
+
+    def test_large_weight_is_fast(self):
+        start = time.perf_counter()
+        gl2_trace_sigma1(F2, 10**12)
+        assert time.perf_counter() - start < 1
 
 
 class TestLevelOne:
