@@ -27,13 +27,13 @@ from __future__ import annotations
 import cmath
 import operator
 from collections import Counter
-from fractions import Fraction
 from itertools import chain, islice, product, repeat
 from typing import NamedTuple
 
-from .exactmath import ConformanceError, InputError, as_integer, factorize, require_bytes
+from .exactmath import (ConformanceError, InputError, brief, factorize, require_bytes,
+                        require_digits)
 from .quadfield import (INERT, RAMIFIED, SIGMA, TAU, QuadField, ambiguous_form_count,
-                        norm_euler_product, splitting_type, two_torsion_count)
+                        splitting_type, two_torsion_count, unimodular_column_count)
 
 LITERAL_D = "literal-d"
 INVERSE_DIFFERENT = "inverse-different"
@@ -67,7 +67,8 @@ class IllDefinedVariantError(ConformanceError):
 
 
 def cusp_count(field: QuadField, N: int) -> int:
-    """c(Gamma(N)) = h * N^4 * prod over primes P of (N) of (1 - Norm(P)^-2).
+    """c(Gamma(N)) = h times the unimodular columns of (O/(N))^2, that is
+    h * N^4 * prod over primes P of (N) of (1 - Norm(P)^-2).
 
     c is the dimension of the boundary cohomology in degrees 0 and 2 (2c in
     degree 1) and of the Eisenstein part in each degree for k > 0, so it is
@@ -75,7 +76,7 @@ def cusp_count(field: QuadField, N: int) -> int:
     """
     if N < 3:
         raise InputError(f"cusp_count requires N >= 3, got {N}")
-    return as_integer(field.h * N**4 * norm_euler_product(field, N), "cusp count")
+    return field.h * unimodular_column_count(field, N)
 
 
 def fixed_coset_formula(p: int, n: int, involution: str) -> int:
@@ -83,7 +84,8 @@ def fixed_coset_formula(p: int, n: int, involution: str) -> int:
     p^{2n} - p^{2n-2} for sigma and p^{2n-1} - p^{2n-2} for tau."""
     if involution not in (SIGMA, TAU):
         raise InputError(f"unknown involution {involution!r}")
-    require_bytes(2 * n * p.bit_length() // 8, f"the integer {p}^{2 * n}")
+    require_bytes(2 * n * p.bit_length() // 8, f"the integer {p}^{brief(2 * n)}")
+    require_digits(p, 2 * n - 2, f"the fixed coset count at {p}^{brief(n)}")    # >= p^(2n-2)
     return p ** (2 * n if involution == SIGMA else 2 * n - 1) - p ** (2 * n - 2)
 
 
@@ -100,11 +102,11 @@ def trace_h2_eis(field: QuadField, N: int, k: int, involution: str) -> int:
     if involution not in (SIGMA, TAU):
         raise InputError(f"unknown involution {involution!r}")
     if k < 0:
-        raise InputError(f"weight must be >= 0, got {k}")
+        raise InputError(f"weight must be >= 0, got {brief(k)}")
     if N == 2:
         raise InputError(f"trace_{involution}_h2_eis requires N >= 3 (or N = 1), got 2")
     if N < 1:
-        raise InputError(f"invalid level {N}")
+        raise InputError(f"invalid level {brief(N)}")
     val = -two_torsion_count(field)
     for p, n in factorize(N):
         if splitting_type(field, p) == RAMIFIED:
@@ -127,7 +129,7 @@ class LevelOneTraces(NamedTuple):
 
 def level_one_sigma_traces(field: QuadField, k: int) -> LevelOneTraces:
     if k < 0:
-        raise InputError(f"weight must be >= 0, got {k}")
+        raise InputError(f"weight must be >= 0, got {brief(k)}")
     # sigma-fixed cusps as ambiguous forms, not trace_h2_eis's 2^(t-1)
     fixed_cusps = ambiguous_form_count(field.D)
     if k == 0:
@@ -146,7 +148,7 @@ def trace_sigma_h1_eis(field: QuadField, p: int, n: int) -> int:
     if field.h != 1:
         raise InputError(f"degree-1 trace formula requires class number one, h={field.h}")
     if n < 1:
-        raise InputError(f"need n >= 1, got {n}")
+        raise InputError(f"need n >= 1, got {brief(n)}")
     spl = splitting_type(field, p)
     if spl != INERT:
         raise InputError(f"degree-1 trace formula requires an inert prime; {p} is {spl}")
@@ -220,7 +222,8 @@ class SczechOperator:
 
             -(N^4 - 1) / (N^2 (N^2 - 1)) - sum_k c_k e(k/N) / N^2,
 
-        with the k = 0 part exact, so it is exactly -(N^2 + 1) when q vanishes.
+        with the k = 0 part -(N^2 + 1 + c_0) / N^2 one correctly rounded division
+        of integers, so the trace is exactly -(N^2 + 1) when q vanishes.
         q(x) = q(x0, x1, x2, 0) + l x3 + A33 x3^2 with l linear in (x0, x1, x2),
         so the prefixes (x0, x1, x2) are counted by q(x0, x1, x2, 0) N + l (each
         mod N) and x3 runs once per class: O(N^3) steps.
@@ -238,9 +241,9 @@ class SczechOperator:
             for x3 in range(N):
                 counts[(head + slope * x3 + A[3][3] * x3 * x3) % N] += n
         counts[0] -= 1                                              # x = 0 is no index
-        exact = -Fraction(n2 * n2 - 1, n2 * (n2 - 1)) - Fraction(counts[0], n2)
+        exact = -(n2 + 1 + counts[0]) / n2
         roots = _roots_of_unity(N)
-        return float(exact) - complex(sum(c * z for c, z in zip(counts[1:], roots[1:]))) / n2
+        return exact - complex(sum(c * z for c, z in zip(counts[1:], roots[1:]))) / n2
 
     def _kernel_size(self, rows) -> int:
         """#{x mod N : M x = 0} for the integer matrix M with these rows.
@@ -279,7 +282,8 @@ class SczechOperator:
         [A^T A] on (Z/N)^8, whose transpose x -> (A x, A^T x) has kernel
         ker A & ker A^T; a Z/N-linear map and its transpose have images of
         the same size, so there are N^4 |ker A & ker A^T| such pairs.  The
-        maximum runs over the tuples that occur.
+        maximum runs over the tuples that occur, each entry an integer over
+        N^4 (N^2 - 1)^2, and is divided once (correctly rounded).
         """
         N, A = self.N, self.gram
         size, n2, n4 = N**4 - 1, N**2, N**4
@@ -297,15 +301,15 @@ class SczechOperator:
         diagonal = {0b000: size - u0 - v0 - equal + 2 * both_zero, 0b001: equal - both_zero,
                     0b010: v0 - both_zero, 0b100: u0 - both_zero, 0b111: both_zero}
 
-        a = Fraction(1, n2 * (n2 - 1))
+        m = n2 - 1              # a = 1 / (N^2 m); entries over the denominator N^4 m^2
 
-        def entry(code: int, eq: int) -> Fraction:
+        def entry(code: int, eq: int) -> int:
             r_sum, dlt = (code >> 2) + (code >> 1 & 1), code & 1
-            return a * a * size + a / n2 * (n4 * r_sum - 2) + dlt - Fraction(1, n4) - eq
+            return size + m * (n4 * r_sum - 2) + (dlt - eq) * n4 * m * m - m * m
 
         occurring = [entry(c, 1) for c, n in diagonal.items() if n]
         occurring += [entry(c, 0) for c, n in total.items() if n > diagonal[c]]
-        return float(max(abs(e) for e in occurring))
+        return max(map(abs, occurring)) / (n4 * m * m)
 
 
 def sczech_operator(field: QuadField, N: int, variant: str = DEFAULT_VARIANT) -> SczechOperator:
@@ -325,8 +329,8 @@ def sczech_operator(field: QuadField, N: int, variant: str = DEFAULT_VARIANT) ->
     so -2 at odd N and -5 at even N, meeting -(N^2 + 1) only at N = 2.
     """
     if N < 2:
-        raise InputError(f"sczech_operator requires N >= 2, got {N}")
-    require_bytes(_BYTES_PER_PAIR * N**2, f"the operator at N={N}")
+        raise InputError(f"sczech_operator requires N >= 2, got {brief(N)}")
+    require_bytes(_BYTES_PER_PAIR * N**2, f"the operator at N={brief(N)}")
     if variant not in CHARACTER_VARIANTS:
         raise InputError(f"unknown character variant {variant!r}")
     defect = variant_periodicity_defect(field, variant)

@@ -1,18 +1,17 @@
-"""Exact integer and rational primitives shared by every other module.
+"""Exact integer primitives shared by every other module.
 
-All arithmetic here is exact: Python integers, ``fractions.Fraction`` for
-rationals, deterministic factorization, quadratic residue symbols, the
-2-adic Hilbert symbol and traces of symmetric powers of determinant-one
-matrices.  Nothing in this module touches floating point.
+All arithmetic here is on Python integers: deterministic factorization,
+quadratic residue symbols, the 2-adic Hilbert symbol, traces of symmetric
+powers of determinant-one matrices, the exact quotient that checks a
+division leaves no remainder, and the refusals of what would not fit the
+memory budget or print.  Nothing in this module touches floating point.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from functools import lru_cache
-from typing import Union
-
-Rational = Union[int, Fraction]
+from math import gcd
 
 
 class InputError(ValueError):
@@ -32,10 +31,42 @@ class ConformanceError(RuntimeError):
 MEMORY_BUDGET = 2**30     # bytes one census or operator may hold, checked before allocating
 
 
+def brief(n: int) -> str:
+    """n in decimal for a message, or "a k-digit integer" past 40 digits.
+
+    The digits are counted, not printed: log10(2) > 0.30102 puts the first
+    guess at or below log10 |n|, a few steps short of it.
+    """
+    m = abs(n)
+    if m < 10**40:
+        return str(n)
+    k = (m.bit_length() - 1) * 30102 // 100000
+    while m >= 10 ** (k + 1):
+        k += 1
+    return f"a {k + 1}-digit {'negative ' if n < 0 else ''}integer"
+
+
+def _mib(n: int) -> str:
+    """n bytes in MiB to the nearest integer, ties to even as "%.0f" rounds."""
+    q, r = divmod(n, 2**20)
+    return brief(q + (r > 2**19 or r == 2**19 and q & 1))
+
+
 def require_bytes(need: int, what: str) -> None:
     if need > MEMORY_BUDGET:
-        raise InputError(f"{what} needs about {need / 2**20:.0f} MiB, over the "
-                         f"{MEMORY_BUDGET / 2**20:.0f} MiB budget")
+        raise InputError(f"{what} needs about {_mib(need)} MiB, over the "
+                         f"{_mib(MEMORY_BUDGET)} MiB budget")
+
+
+def require_digits(base: int, exp: int, what: str) -> None:
+    """Refuse `what`, at least base^exp, when it certainly has more decimal
+    digits than the interpreter prints (`sys.get_int_max_str_digits()`, 0
+    for no limit), before it is computed: base^exp >= 2^(4 limit) > 10^limit
+    once exp * (bit_length(base) - 1) >= 4 limit.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", int)()     # no limit before Python 3.11
+    if limit and exp * (base.bit_length() - 1) >= 4 * limit:
+        raise InputError(f"{what} has more than {limit} digits, too many to print")
 
 
 _TRIAL_LIMIT = 10**6
@@ -53,7 +84,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for n < _WITNESS_LIMIT; larger n are
     refused, since the witness set no longer decides them."""
     if n >= _WITNESS_LIMIT:
-        raise InputError(f"is_prime decides n < {_WITNESS_LIMIT} only, got {n}")
+        raise InputError(f"is_prime decides n < {_WITNESS_LIMIT} only, got {brief(n)}")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -89,7 +120,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     scale, so a composite leftover is treated as an input error.
     """
     if n < 1:
-        raise InputError(f"factorize requires n >= 1, got {n}")
+        raise InputError(f"factorize requires n >= 1, got {brief(n)}")
     out: list[tuple[int, int]] = []
     m = n
     p = 2
@@ -103,7 +134,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
         p += 1 if p == 2 else 2
     if m > 1:
         if not is_prime(m):
-            raise InputError(f"leftover factor {m} of {n} is composite beyond trial range")
+            raise InputError(f"leftover factor {brief(m)} of {brief(n)} is composite "
+                             "beyond trial range")
         out.append((m, 1))
     return out
 
@@ -188,16 +220,16 @@ def sym_power_trace(t: int, k: int) -> int:
     return cur
 
 
-def as_integer(x: Rational, what: str = "value") -> int:
-    """Assert that an exact rational is an integer and return it.
+def exact_quotient(num: int, den: int, what: str) -> int:
+    """num / den for den > 0, which must leave no remainder.
 
-    Integrality failures raise ConformanceError: every formula in this
-    library that promises an integer is expected to deliver one, and a
-    fractional result is a conformance signal worth surfacing loudly.
+    A remainder raises ConformanceError naming the reduced fraction: every
+    formula in this library that promises an integer is expected to
+    deliver one, and a fractional result is a conformance signal worth
+    surfacing loudly.
     """
-    if isinstance(x, int):
-        return x
-    fr = Fraction(x)
-    if fr.denominator != 1:
-        raise ConformanceError(f"{what} is not an integer: {fr}")
-    return fr.numerator
+    q, r = divmod(num, den)
+    if r:
+        g = gcd(num, den)
+        raise ConformanceError(f"{what} is not an integer: {num // g}/{den // g}")
+    return q

@@ -51,9 +51,9 @@ from operator import add
 from typing import NamedTuple
 
 from .eisenstein import fixed_coset_formula
-from .exactmath import ConformanceError, InputError, as_integer, factorize, require_bytes
-from .quadfield import (INERT, RAMIFIED, SIGMA, SPLIT, TAU, QuadField,
-                        norm_euler_product, splitting_type)
+from .exactmath import ConformanceError, InputError, factorize, require_bytes
+from .quadfield import (INERT, RAMIFIED, SIGMA, SPLIT, TAU, QuadField, splitting_type,
+                        unimodular_column_count)
 
 Elem = tuple[int, int]
 Mat = tuple[Elem, Elem, Elem, Elem]  # (a, b, c, d) row-major
@@ -201,17 +201,16 @@ class FiniteRing:
 
 
 def sl2_order_formula(field: QuadField, N: int) -> int:
-    """#SL2(O/(N)) = N^6 * prod over primes of (N) of (1 - Norm(P)^-2)."""
-    return as_integer(N**6 * norm_euler_product(field, N), "SL2 order")
+    """#SL2(O/(N)) = N^2 times the unimodular columns of (O/(N))^2: each
+    column is the first of |O/(N)| = N^2 matrices."""
+    return N * N * unimodular_column_count(field, N)
 
 
 def _sl2_count_exhaustive(ring: FiniteRing) -> int:
     # Count quadruples with a*d - b*c = 1 through the product-count table:
     # sum over v of #{(b,c): bc = v} * #{(a,d): ad = 1 + v}.  Adding
     # 1 = (1, 0) to a code adds N, modulo |R| = N^2.
-    prod: Counter[int] = Counter()
-    for row in ring.product_rows():
-        prod.update(row)
+    prod = Counter(b"".join(ring.product_rows()))
     N, size = ring.N, ring.N * ring.N
     return sum(n * prod[(v + N) % size] for v, n in prod.items())
 
@@ -430,7 +429,8 @@ def fixed_coset_report(ring: FiniteRing, involution: str) -> CensusReport:
 
 def cusp_count_bruteforce(field: QuadField, N: int) -> int:
     """2h times the +-1-classes of unimodular columns (a, c) of O/(N),
-    N >= 3: the unitriangular cosets, h * #SL2 / N^2 with no group order.
+    N >= 3: the census of h * unimodular_column_count, the unitriangular
+    cosets h * #SL2 / N^2, with no closed count and no group order.
     The classes are the cusps of Gamma(N) at h = 1 (-1 lies in the
     stabiliser of infinity in PSL2(O)); which count the records should
     carry is an open convention.

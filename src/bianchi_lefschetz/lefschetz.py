@@ -24,8 +24,9 @@ from functools import lru_cache
 from math import prod
 from typing import NamedTuple
 
-from .exactmath import (ConformanceError, InputError, as_integer, factorize, hilbert2,
-                        kronecker, legendre, require_bytes, sym_power_trace)
+from .exactmath import (ConformanceError, InputError, brief, exact_quotient, factorize,
+                        hilbert2, kronecker, legendre, require_bytes, require_digits,
+                        sym_power_trace)
 from .quadfield import RAMIFIED, SIGMA, TAU, QuadField, splitting_type, two_torsion_count
 
 RATIONAL = "rational"
@@ -98,7 +99,7 @@ def _table_ab(d_mod4: int, v2: int, ts: int) -> tuple[Fraction, Fraction]:
 
 def make_level(field: QuadField, N: int) -> Level:
     if N <= 2:
-        raise InputError(f"principal levels require N > 2, got {N}")
+        raise InputError(f"principal levels require N > 2, got {brief(N)}")
     factors = tuple((p, e, splitting_type(field, p)) for p, e in factorize(N))
     v2 = next((e for p, e, _ in factors if p == 2), 0)
     s = sum(1 for p, _, _ in factors if p != 2)  # the odd rational primes dividing N
@@ -115,7 +116,7 @@ def lefschetz_sigma_principal(field: QuadField, level: Level | int, k: int) -> i
     if isinstance(level, int):
         level = make_level(field, level)
     if k < 0:
-        raise InputError(f"weight must be >= 0, got {k}")
+        raise InputError(f"weight must be >= 0, got {brief(k)}")
     # (A + 2B) (-N^3 / 12) (k + 1) prod (p^2 - 1) / p^2 as one fraction
     ab = level.a_plus_2b
     num = -ab.numerator * level.N**3 * (k + 1)
@@ -123,7 +124,7 @@ def lefschetz_sigma_principal(field: QuadField, level: Level | int, k: int) -> i
     for p, _, _ in level.factors:
         num *= p * p - 1
         den *= p * p
-    return as_integer(Fraction(num, den), f"L(sigma, Gamma({level.N}), k={k})")
+    return exact_quotient(num, den, f"L(sigma, Gamma({brief(level.N)}), k={brief(k)})")
 
 
 def lefschetz_sigma_prime_power(field: QuadField, p: int, n: int, k: int) -> int:
@@ -141,10 +142,11 @@ def lefschetz_sigma_prime_power(field: QuadField, p: int, n: int, k: int) -> int
         raise InputError(f"prime {p} ramifies in {field}; formula does not apply")
     if n < 1 or k < 0:
         raise InputError("need n >= 1 and k >= 0")
-    require_bytes(3 * n * p.bit_length() // 8, f"the integer {p}^{3 * n}")
+    require_bytes(3 * n * p.bit_length() // 8, f"the integer {p}^{brief(3 * n)}")
+    what = f"L(sigma, Gamma({p}^{brief(n)}), k={brief(k)})"
+    require_digits(p, 3 * n - 3, what)      # |L| >= p^(3n-2) (p^2 - 1) / 12 >= p^(3n-3)
     e = field.t - 1 if field.d % 4 == 1 else field.t
-    val = Fraction(-(2**e) * (p ** (3 * n) - p ** (3 * n - 2)) * (k + 1), 12)
-    return as_integer(val, f"L(sigma, Gamma({p}^{n}), k={k})")
+    return exact_quotient(-(2**e) * (p ** (3 * n) - p ** (3 * n - 2)) * (k + 1), 12, what)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +201,7 @@ def lefschetz_level_one(field: QuadField, involution: str, k: int,
     if involution not in (SIGMA, TAU):
         raise InputError(f"unknown involution {involution!r}")
     if k < 0:
-        raise InputError(f"weight must be >= 0, got {k}")
+        raise InputError(f"weight must be >= 0, got {brief(k)}")
     q = 1 if involution == TAU else -1
     sgn = (-1) ** k
     c1, c2, c3, first, second = _level_one_coefficients(field, involution)

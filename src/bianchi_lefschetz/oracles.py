@@ -47,6 +47,22 @@ def _value_masks(b: int) -> tuple[int, int]:
     return by[0], by[1]
 
 
+@lru_cache(maxsize=64)
+def _target_masks(a: int) -> tuple[int, int, int]:
+    """Bitmasks of the t for which t + a x^2 mod 2**9 is a square for some
+    square class of x: x odd, x even, and x even with the square of an odd z."""
+    classes, hit_all, hit_odd = _square_classes()
+    odd_x = even_x = even_x_odd_z = 0
+    for sq, odd in classes:
+        k = a * sq % HILBERT_ORACLE_MOD
+        if odd:
+            odd_x |= hit_all[k]
+        else:
+            even_x |= hit_all[k]
+            even_x_odd_z |= hit_odd[k]
+    return odd_x, even_x, even_x_odd_z
+
+
 def hilbert2_norm_search(a: int, b: int) -> int:
     """Decide (a,b)_2 by exhaustive search for z^2 = a x^2 + b y^2 mod 2**9.
 
@@ -56,35 +72,30 @@ def hilbert2_norm_search(a: int, b: int) -> int:
 
     Whether (x, y) gives a solution depends on x only through
     (x^2 mod 2**9, x mod 2), and on y the same way: 87 classes each.
-    The values b y^2 of the y-classes are held as one bitmask per
-    parity of y, so an x-class with k = a x^2 is decided by ANDing them
-    with the masks of t for which t + k is a square (of an odd z when x and
-    y are both even).  This is the same exhaustive predicate over the same
-    class pairs; nothing about square classes is assumed, so the route stays
-    independent of the closed formula.  The y-side masks are memoised per
-    b in `_value_masks`, since a grid of pairs repeats each b.
+    The values t = b y^2 of the y-classes are held as one bitmask per
+    parity of y, and the t for which t + a x^2 is a square (of an odd z
+    when x and y are both even) as the OR over the x-classes of each
+    parity; a solution exists exactly when some pair of these masks
+    meets.  This is the same exhaustive predicate, there exist x and y,
+    over the same class pairs; nothing about square classes is assumed,
+    so the route stays independent of the closed formula.  The x-side
+    masks are memoised per a in `_target_masks` and the y-side per b in
+    `_value_masks`, since a grid of pairs repeats each a and each b.
     """
     if a == 0 or b == 0:
         raise InputError("hilbert2_norm_search requires nonzero arguments")
-    classes, hit_all, hit_odd = _square_classes()
+    odd_x, even_x, even_x_odd_z = _target_masks(a)
     by_even, by_odd = _value_masks(b)
-    by_any = by_even | by_odd
-    for sq, odd in classes:
-        k = a * sq % HILBERT_ORACLE_MOD
-        if odd:
-            found = hit_all[k] & by_any
-        else:
-            found = hit_all[k] & by_odd or hit_odd[k] & by_even
-        if found:
-            return 1
-    return -1
+    found = odd_x & (by_even | by_odd) or even_x & by_odd or even_x_odd_z & by_even
+    return 1 if found else -1
 
 
 def sym_power_trace_eigensum(t: int, k: int) -> int:
     """sum_{j<=k} lam^(k-j) mu^j computed exactly in Z[x]/(x^2 - t x + 1).
 
     lam = x and mu = t - x are the exact eigenvalues (lam*mu = 1,
-    lam + mu = t); the sum must come out constant, and its constant term
+    lam + mu = t); each power of lam and of mu is built once by repeated
+    multiplication, the sum must come out constant, and its constant term
     is returned.  Independent of the three-term recurrence.
     """
 
@@ -92,17 +103,13 @@ def sym_power_trace_eigensum(t: int, k: int) -> int:
         # (u0 + u1 x)(v0 + v1 x) with x^2 = t x - 1
         return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0] + t * u[1] * v[1])
 
-    def power(base, n):
-        acc = (1, 0)
-        for _ in range(n):
-            acc = mul(acc, base)
-        return acc
-
-    lam = (0, 1)
-    mu = (t, -1)
+    lam_pows, mu_pows = [(1, 0)], [(1, 0)]
+    for _ in range(k):
+        lam_pows.append(mul(lam_pows[-1], (0, 1)))      # lam = x
+        mu_pows.append(mul(mu_pows[-1], (t, -1)))       # mu = t - x
     total = (0, 0)
     for j in range(k + 1):
-        term = mul(power(lam, k - j), power(mu, j))
+        term = mul(lam_pows[k - j], mu_pows[j])
         total = (total[0] + term[0], total[1] + term[1])
     if total[1]:
         raise ConformanceError(f"eigenvalue sum {total} is not rational (t={t}, k={k})")

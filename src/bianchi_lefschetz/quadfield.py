@@ -13,13 +13,12 @@ omega^2 = T*omega - Nm with T = trace(omega), Nm = norm(omega).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .exactmath import InputError, factorize, is_prime, kronecker, require_bytes
+from .exactmath import InputError, brief, factorize, is_prime, kronecker, require_bytes
 
 
 class QuadField(NamedTuple):
@@ -102,7 +101,7 @@ def reduced_forms(D: int) -> list[tuple[int, int, int]]:
     b0 = D % 2
     bs = range(b0, isqrt(-D // 3) + 1, 2)
     n = len(bs)
-    require_bytes(_BYTES_PER_B * n, f"the reduced forms of D={D}")
+    require_bytes(_BYTES_PER_B * n, f"the reduced forms of D={brief(D)}")
     qs = [(b * b - D) // 4 for b in bs]
     tops = [isqrt(q) for q in qs]
     divisors = [[1] for _ in bs]    # per b, the divisors of q_b up to sqrt(q_b) found so far
@@ -184,14 +183,14 @@ def make_field(d: int) -> QuadField:
     raises InputError on every call.
     """
     if d >= 0:
-        raise InputError(f"d must be negative, got {d}")
+        raise InputError(f"d must be negative, got {brief(d)}")
     if d in (-1, -3):
         raise InputError("d must be a square-free negative integer with d != -1, -3 "
                          "(these fields have extra units)")
     # one factorization of |d| gives square-freeness and the primes of D
     factors = factorize(-d)
     if any(e > 1 for _, e in factors):
-        raise InputError(f"d must be square-free, got {d}")
+        raise InputError(f"d must be square-free, got {brief(d)}")
     ramified = tuple(p for p, _ in factors)
     if d % 4 == 1:
         D, D2 = d, 1
@@ -224,27 +223,26 @@ SIGMA, TAU = "sigma", "tau"
 def splitting_type(field: QuadField, p: int) -> str:
     """Behavior of the rational prime p in O: split, inert or ramified."""
     if not is_prime(p):
-        raise InputError(f"splitting_type requires a prime, got {p}")
+        raise InputError(f"splitting_type requires a prime, got {brief(p)}")
     if p in field.ramified_primes:
         return RAMIFIED
     return SPLIT if kronecker(field.D, p) == 1 else INERT
 
 
-def norm_euler_product(field: QuadField, N: int) -> Fraction:
-    """prod over the primes P of O dividing N of (1 - Norm(P)^-2), exactly.
-
-    The factor shared by #SL2(O/(N)) = N^6 * product and the cusp count
-    h * N^4 * product.
-    """
-    total = Fraction(1)
-    for p, _ in factorize(N):
+def unimodular_column_count(field: QuadField, N: int) -> int:
+    """Unimodular columns (a, c) of (O/(N))^2, those outside M^2 for every
+    maximal ideal M, prime by prime: at p^e || N, (p^{2e} - p^{2e-2})^2 for
+    split p, p^{4e} - p^{4e-4} for inert p and p^{4e} - p^{4e-2} for
+    ramified p.  #SL2(O/(N)) is N^2 times it and the cusp count h times it."""
+    total = 1
+    for p, e in factorize(N):
         spl = splitting_type(field, p)
         if spl == SPLIT:
-            total *= (1 - Fraction(1, p * p)) ** 2
+            total *= (p ** (2 * e) - p ** (2 * e - 2)) ** 2
         elif spl == INERT:
-            total *= 1 - Fraction(1, p**4)
+            total *= p ** (4 * e) - p ** (4 * e - 4)
         else:
-            total *= 1 - Fraction(1, p * p)
+            total *= p ** (4 * e) - p ** (4 * e - 2)
     return total
 
 

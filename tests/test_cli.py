@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -324,9 +325,31 @@ class TestOutOfRangeIntegers:
         assert not out
         assert err.startswith("error: the integer 5^20000000000 needs about ")
 
+    @pytest.mark.parametrize("n", [3 * 10**6, 10**8])
+    def test_unprintable_power_is_refused_before_it_is_computed(self, capsys, digit_limit, n):
+        # 5^(2n) fits the memory budget; computing it would take seconds to hours
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "eisenstein", "h1", "--d", "-2", "--p", "5",
+                                 "--n", str(n))
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert not out
+        assert err == (f"error: the fixed coset count at 5^{n} has more than 4300 digits, "
+                       "too many to print\n")
+
     def test_every_leaf_ends_cleanly(self):
-        # one fresh process per leaf, with integers out of every sensible range
+        # one fresh process per leaf, with integers out of every sensible range;
+        # a refusal writes a huge integer as its digit count, so stderr stays short.
+        # The 10^4000 + 1 queries spend about 2 s in factorize's trial division.
+        big = str(10**4000 + 1)
         argvs = [
+            ["field", "--d", f"-{big}"],
+            ["lefschetz", "principal", "--d", "-2", "--N", big, "--k", "0"],
+            ["eisenstein", "h2", "--d", "-2", "--N", big, "--k", "0", "--involution", "sigma"],
+            ["bound", "--d", "-2", "--N", big, "--k", "0"],
+            ["sczech", "--d", "-2", "--N", str(10**157)],
+            ["eisenstein", "h1", "--d", "-2", "--p", "5", "--n", str(10**400)],
+            ["eisenstein", "h1", "--d", "-2", "--p", "5", "--n", str(10**8)],
             ["field", "--d", str(-10**20)],
             ["lefschetz", "principal", "--d", "-2", "--N", str(2**5000), "--k", "0"],
             ["lefschetz", "level-one", "--d", "-2", "--k", str(10**12), "--involution", "tau"],
@@ -349,6 +372,7 @@ class TestOutOfRangeIntegers:
                                   capture_output=True, text=True, env=env, timeout=5)
             what = " ".join(argv)[:80]
             assert "Traceback" not in proc.stdout + proc.stderr, what
+            assert len(proc.stderr.encode()) < 200, what
             assert proc.returncode in (0, 1, 2), what
             if proc.returncode == 1:
                 assert proc.stderr.startswith("error: "), what

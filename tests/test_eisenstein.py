@@ -1,5 +1,6 @@
 import hashlib
 import os
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -158,6 +159,14 @@ class TestDegreeTwoTraces:
         for involution in ("sigma", "tau"):
             with pytest.raises(InputError, match=r"5\^20000000000 needs .* budget"):
                 fixed_coset_formula(5, 10**10, involution)
+
+    def test_fixed_coset_formula_refuses_an_unprintable_count_before_computing(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        for involution in ("sigma", "tau"):
+            with pytest.raises(InputError, match=r"^the fixed coset count at 5\^3000000 has "
+                                                 r"more than 4300 digits"):
+                fixed_coset_formula(5, 3 * 10**6, involution)
+        assert len(str(fixed_coset_formula(5, 3000, "tau"))) == 4194      # still computed
 
 
 class TestLevelOneTraces:

@@ -1,14 +1,16 @@
 import random
+import sys
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
 import pytest
 
-from bianchi_lefschetz import oracles
-from bianchi_lefschetz.exactmath import (ConformanceError, InputError, as_integer,
+from bianchi_lefschetz import exactmath, oracles
+from bianchi_lefschetz.exactmath import (ConformanceError, InputError, brief, exact_quotient,
                                          factorize, hilbert2, is_prime, kronecker,
-                                         legendre, sym_power_trace)
+                                         legendre, require_bytes, require_digits,
+                                         sym_power_trace)
 from bianchi_lefschetz.oracles import hilbert2_norm_search, sym_power_trace_eigensum
 
 
@@ -211,16 +213,18 @@ def _norm_search_ref(a, b, exp):
 @pytest.fixture
 def search_modulus(monkeypatch):
     # the search reads its modulus 2**exp from one module constant, and a
-    # smaller one makes the full residue grid cheap; its two memos hold
+    # smaller one makes the full residue grid cheap; its three memos hold
     # tables for one modulus, so they are emptied on the way in and out
+    memos = (oracles._square_classes, oracles._value_masks, oracles._target_masks)
+
     def at(exp):
         monkeypatch.setattr(oracles, "HILBERT_ORACLE_MOD", 1 << exp)
-        oracles._square_classes.cache_clear()
-        oracles._value_masks.cache_clear()
+        for memo in memos:
+            memo.cache_clear()
 
     yield at
-    oracles._square_classes.cache_clear()
-    oracles._value_masks.cache_clear()
+    for memo in memos:
+        memo.cache_clear()
 
 
 ODD_UNITS = [s * u for u in range(1, 16, 2) for s in (1, -1)]
@@ -367,9 +371,57 @@ class TestSymPowerTrace:
             sym_power_trace(1, -1)
 
 
-def test_as_integer():
-    from fractions import Fraction
-    assert as_integer(Fraction(6, 3)) == 2
-    assert as_integer(5) == 5
-    with pytest.raises(ConformanceError):
-        as_integer(Fraction(1, 2), "test value")
+def test_exact_quotient():
+    assert exact_quotient(6, 3, "test value") == 2
+    assert exact_quotient(-12, 4, "test value") == -3
+    assert exact_quotient(0, 7, "test value") == 0
+    # the message names the reduced fraction, its sign on the numerator
+    for num, den, text in ((1, 2, "1/2"), (6, 4, "3/2"), (-10, 12, "-5/6")):
+        with pytest.raises(ConformanceError) as err:
+            exact_quotient(num, den, "test value")
+        assert str(err.value) == f"test value is not an integer: {text}"
+
+
+class TestMessageIntegers:
+    def test_brief_writes_forty_digits_and_counts_longer(self):
+        assert brief(10**40 - 1) == "9" * 40
+        assert brief(-(10**40 - 1)) == "-" + "9" * 40
+        for k in range(41, 500):
+            assert brief(10 ** (k - 1)) == brief(10**k - 1) == f"a {k}-digit integer"
+            assert brief(-(10**k - 1)) == f"a {k}-digit negative integer"
+
+    def test_brief_counts_past_the_print_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert brief(3**20000) == "a 9543-digit integer"
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_mib_rounds_as_the_float_format_did(self):
+        # the figure is exact; "%.0f" of need / 2^20 agreed wherever that float was exact
+        rng = random.Random(11)
+        needs = [rng.randrange(2**53) for _ in range(3000)]
+        needs += [k * 2**19 + e for k in range(1, 64) for e in (-1, 0, 1)]
+        needs += [256 * N**2 for N in range(1, 10**7, 99991)] + [2**30, 2**52, 2**53]
+        assert [exactmath._mib(n) for n in needs] == [f"{n / 2**20:.0f}" for n in needs]
+
+    def test_require_bytes_names_a_figure_past_any_float(self):
+        with pytest.raises(InputError) as err:
+            require_bytes(10**400, "the thing")
+        assert str(err.value) == ("the thing needs about a 394-digit integer MiB, "
+                                  "over the 1024 MiB budget")
+
+    def test_require_digits_refuses_only_what_is_certainly_too_long(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 100)
+        require_digits(2, 399, "x")
+        with pytest.raises(InputError, match=r"^x has more than 100 digits, too many to print$"):
+            require_digits(2, 400, "x")
+        for base in range(2, 70):
+            for exp in range(1, 500):
+                try:
+                    require_digits(base, exp, "x")
+                except InputError:
+                    assert len(str(base**exp)) > 100, (base, exp)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)     # no limit
+        require_digits(5, 10**12, "x")

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -12,7 +13,7 @@ from bianchi_lefschetz.finitering import (FiniteRing, cusp_count_bruteforce,
                                           sl2_order, sl2_order_formula)
 from bianchi_lefschetz.oracles import is_unimodular_pair_oracle
 from bianchi_lefschetz.quadfield import (INERT, RAMIFIED, SPLIT, make_field,
-                                         splitting_type)
+                                         splitting_type, unimodular_column_count)
 
 F2, F5, F7, F11 = (make_field(d) for d in (-2, -5, -7, -11))
 
@@ -780,3 +781,13 @@ def _count_products(monkeypatch):
     real = FiniteRing.product_rows
     monkeypatch.setattr(FiniteRing, "product_rows", lambda self: [Row(r) for r in real(self)])
     return count
+
+
+@pytest.mark.parametrize("d", [-2, -5, -6, -7, -11, -15, -19, -23])
+def test_column_count_matches_the_mask_census(d):
+    # split, inert and ramified primes, prime powers and composites: the
+    # closed count against twice the +-1-classes of disjoint mask pairs
+    f = make_field(d)
+    for N in (3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 25, 27, 49):
+        tally = Counter(FiniteRing(f, N).masks())
+        assert unimodular_column_count(f, N) == 2 * finitering._column_classes((tally, tally)), N

@@ -1,3 +1,4 @@
+import sys
 import time
 from fractions import Fraction
 from math import prod
@@ -123,6 +124,12 @@ class TestPrimePower:
         # 5^(3 * 10^10) would take about 8.7 GB; it is refused, not computed
         with pytest.raises(InputError, match=r"5\^30000000000 needs .* budget"):
             lefschetz_sigma_prime_power(F2, 5, 10**10, 0)
+
+    def test_refuses_an_unprintable_number_before_computing(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        with pytest.raises(InputError, match=r"^L\(sigma, Gamma\(5\^2000000\), k=0\) has more "
+                                             r"than 4300 digits"):
+            lefschetz_sigma_prime_power(F2, 5, 2 * 10**6, 0)
 
     def test_two_routes_agree(self):
         from bianchi_lefschetz.quadfield import splitting_type

@@ -27,6 +27,11 @@ and not on a user's older interpreter.
 Every module-level import under `src/`, `tests/` and `demos/` is loaded by
 name in its module, so deleting code cannot leave its imports behind.  The
 package `__init__.py` is exempt: its imports re-export.
+
+Integers stay integers below the Lefschetz layer: `exactmath`, `quadfield`
+and `eisenstein` import no `fractions`, and no module under `src/` defines
+or calls `as_integer`, whose check that a product of integer factors is an
+integer could not fail.
 """
 
 import ast
@@ -178,3 +183,20 @@ def test_sources_parse_at_the_python_floor():
         except SyntaxError as exc:
             rejected.append(f"{path.relative_to(SRC.parent)}:{exc.lineno} {exc.msg}")
     assert rejected == []
+
+
+def test_integer_layers_take_no_fraction_round_trips():
+    for name in ("exactmath", "quadfield", "eisenstein"):
+        path = SRC / "bianchi_lefschetz" / f"{name}.py"
+        modules = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                modules.add((node.module or "").split(".")[0])
+        assert "exactmath" in modules or name == "exactmath"     # the scan sees the imports
+        assert "fractions" not in modules, name
+    uses = [where for where, node in _nodes()
+            if getattr(node, "name", None) == "as_integer"              # def or import
+            or getattr(node, "id", getattr(node, "attr", None)) == "as_integer"]
+    assert uses == []
