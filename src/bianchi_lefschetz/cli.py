@@ -240,8 +240,18 @@ def _cmd_verify(args) -> int:
     return code
 
 
-_INT = {"type": int, "required": True}
-_INTS = {"type": int, "nargs": "+", "required": True}
+def _int(text: str) -> int:
+    """int(text), refused in argparse's words, but a value past 40
+    characters is named by its length, as `brief` names a long number."""
+    try:
+        return int(text)
+    except ValueError:
+        shown = repr(text) if len(text) <= 40 else f"a {len(text)}-character value"
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown}") from None
+
+
+_INT = {"type": _int, "required": True}
+_INTS = {"type": _int, "nargs": "+", "required": True}
 # Every leaf option, by flag name; "sigma" is the σ-only --involution.
 _OPTIONS = {
     "d": _INT, "N": _INT, "k": _INT, "p": _INT, "n": _INT,

@@ -3,7 +3,9 @@
 Every function here recomputes something the library also computes by a
 closed formula, using a different method (exhaustive search, lattice
 enumeration, plain counting).  None of them import the module they check,
-so each check really is a dual route.
+so each check really is a dual route.  They return values and check
+nothing themselves: `verify` and the tests compare those values with the
+closed formulas.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, isqrt, pi, sqrt
 
-from .exactmath import ConformanceError, InputError
+from .exactmath import InputError
 from .quadfield import QuadField
 
 HILBERT_ORACLE_MOD = 2**9  # the search runs modulo 2**9, enough to Hensel-lift
@@ -95,8 +97,9 @@ def sym_power_trace_eigensum(t: int, k: int) -> int:
 
     lam = x and mu = t - x are the exact eigenvalues (lam*mu = 1,
     lam + mu = t); each power of lam and of mu is built once by repeated
-    multiplication, the sum must come out constant, and its constant term
-    is returned.  Independent of the three-term recurrence.
+    multiplication, and the constant term of the sum is returned: the sum
+    is fixed by lam <-> mu (x -> t - x), so its x-coefficient is 0.
+    Independent of the three-term recurrence.
     """
 
     def mul(u, v):
@@ -111,8 +114,6 @@ def sym_power_trace_eigensum(t: int, k: int) -> int:
     for j in range(k + 1):
         term = mul(lam_pows[k - j], mu_pows[j])
         total = (total[0] + term[0], total[1] + term[1])
-    if total[1]:
-        raise ConformanceError(f"eigenvalue sum {total} is not rational (t={t}, k={k})")
     return total[0]
 
 
@@ -217,7 +218,7 @@ def _conjugate_ideal(field: QuadField, i: _Triple) -> _Triple:
 def _is_principal(field: QuadField, i: _Triple) -> bool:
     """An integral ideal is principal iff it contains an element of its norm."""
     a, b, c = i
-    T, Nm = field.omega_trace, field.omega_norm
+    T = field.omega_trace
     n = a * c
     absD = abs(field.D)
     vmax = isqrt(4 * n // absD)
@@ -235,9 +236,6 @@ def _is_principal(field: QuadField, i: _Triple) -> bool:
             u //= 2
             # u + v*omega must lie in the ideal: u = x*a + y*b
             if (u - y * b) % a == 0:
-                if u * u + T * u * v + Nm * v * v != n:
-                    raise ConformanceError(f"{u} + {v}*omega lies in the ideal but "
-                                           f"its norm is not {n}")
                 return True
     return False
 

@@ -308,6 +308,14 @@ class TestOutOfRangeIntegers:
         assert not out
         assert err == f"error: result {key} has more than 4300 digits, too many to print\n"
 
+    def test_unparseable_integer_is_named_by_its_length(self, capsys, digit_limit):
+        # argparse's own words for a short value; a long one, here past the
+        # digit limit, is not echoed
+        for argv, shown in ((["--N", "12x"], "--N: invalid int value: '12x'"),
+                            (["--N", "7" * 5000], "--N: invalid int value: a 5000-character value")):
+            code, out, err = run_cli(capsys, "bound", "--d", "-2", *argv, "--k", "0")
+            assert (code, out, err) == (1, "", f"error: argument {shown}\n")
+
     def test_table_keeps_its_printable_points(self, capsys, digit_limit):
         code, out, err = run_cli(capsys, "table", "--d-list", "-2",
                                  "--N-list", "5", str(5**3000), "--k-list", "0")
@@ -362,6 +370,8 @@ class TestOutOfRangeIntegers:
             ["gl2", "--d", "-2", "--k", str(10**12)],
             ["table", "--d-list", "-2", "--N-list", "5", str(5**3000), "--k-list", "0"],
             ["verify", str(10**20)],
+            ["bound", "--d", "-2", "--N", "7" * 5000, "--k", "0"],
+            ["table", "--d-list", "-2", "--N-list", "5", "7" * 5000, "--k-list", "0"],
         ]
         leaves = leaf_commands(cli.build_parser())
         assert leaves == {leaf for leaf in leaves for a in argvs if tuple(a[:len(leaf)]) == leaf}
@@ -404,8 +414,8 @@ class TestVerifyCommand:
         assert "PASS anchors: GL2 trace at (d=-2, k=0) == 0" in out
 
     def test_sl2_order_check_can_fail(self, capsys, monkeypatch):
-        real = finitering.sl2_order_formula
-        monkeypatch.setattr(finitering, "sl2_order_formula",
+        real = verify.sl2_order_formula
+        monkeypatch.setattr(verify, "sl2_order_formula",
                             lambda field, N: real(field, N) + (N == 6))
         code, out, _ = run_cli(capsys, "verify", "cusps")
         assert code == 2

@@ -113,7 +113,20 @@ class TestSL2Order:
     def test_formula_matches_enumeration_on_grid(self):
         for f in (F2, F5, F7, F11):
             for N in range(2, 7):
-                sl2_order(FiniteRing(f, N))  # raises on disagreement
+                assert sl2_order(FiniteRing(f, N)) == sl2_order_formula(f, N), (f.d, N)
+
+    @pytest.mark.parametrize("f", [F7, F11, F2])
+    def test_census_matches_formula_to_level_16(self, f):
+        # 2 splits for d = -7, is inert for d = -11 and ramifies for d = -2
+        assert _kind(f, 2) == {F7: SPLIT, F11: INERT, F2: RAMIFIED}[f]
+        for N in range(10, 17):
+            assert sl2_order(FiniteRing(f, N)) == sl2_order_formula(f, N), N
+
+    def test_refused_past_level_16_before_allocating(self):
+        def refused():
+            with pytest.raises(InputError, match="product table"):
+                sl2_order(FiniteRing(F2, 17))
+        assert _peak_of(refused) < 2**20
 
 
 def _peak_of(call):
@@ -425,8 +438,9 @@ class TestCuspCensus:
             cusp_count_bruteforce(F2, 2)
 
     def test_census_does_not_read_the_sl2_order(self, monkeypatch):
-        # Above N = 9 sl2_order returns the closed formula, so a census of
-        # h * #SL2 / N^2 would follow a wrong formula; the column count does not.
+        # A census of h * #SL2 / N^2 would follow a wrong closed formula
+        # wherever it read the order off sl2_order_formula; the column count
+        # reads neither the formula nor the SL2 census.
         want = cusp_count_bruteforce(F2, 11)
         monkeypatch.setattr(finitering, "sl2_order_formula", lambda field, N: 7 * N**2)
         assert cusp_count_bruteforce(F2, 11) == want == cusp_count(F2, 11)

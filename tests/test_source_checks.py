@@ -13,8 +13,8 @@ No record field is write-only: every field a result carries is read by
 some caller in the library or the demos.
 
 The oracles stay independent: `oracles.py` takes from the package only
-its exception classes and the `QuadField` type, so no oracle runs through
-the code it checks.
+`InputError` and the `QuadField` type, so no oracle runs through the code
+it checks.  Oracles return values, and `verify` and the tests compare them.
 
 Every memory charge is measured: each `_BYTES_PER_*` constant under
 `src/` is named by some test, which checks the charge against a traced
@@ -134,8 +134,7 @@ def test_oracles_import_nothing_they_check():
         elif isinstance(node, ast.Import):
             imported |= {alias.name for alias in node.names
                          if alias.name.startswith("bianchi_lefschetz")}
-    assert imported == {"exactmath.ConformanceError", "exactmath.InputError",
-                        "quadfield.QuadField"}
+    assert imported == {"exactmath.InputError", "quadfield.QuadField"}
 
 
 def _unused_imports(path):
