@@ -21,7 +21,7 @@ from itertools import product
 from .bounds import cusp_lower_bound, gl2_trace_sigma1
 from .eisenstein import (CHARACTER_VARIANTS, DEFAULT_VARIANT, sczech_operator,
                          trace_h2_eis, trace_sigma_h1_eis, write_matrix_dump)
-from .exactmath import ConformanceError, InputError
+from .exactmath import ConformanceError, InputError, brief_text
 from .lefschetz import (BRACKET_VARIANTS, DEFAULT_BRACKET, lefschetz_level_one,
                         lefschetz_sigma_principal, make_level)
 from .quadfield import QuadField, make_field
@@ -30,6 +30,12 @@ from .quadfield import QuadField, make_field
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); route to exit 1 instead
         raise InputError(message)
+
+    def _check_value(self, action, value):  # argparse echoes a long choice in full
+        if action.choices is not None and value not in action.choices and len(value) > 40:
+            raise argparse.ArgumentError(action, f"invalid choice: {brief_text(value)} "
+                                         f"(choose from {', '.join(map(repr, action.choices))})")
+        super()._check_value(action, value)
 
 
 def _fmt(key: str, x) -> str:
@@ -246,8 +252,7 @@ def _int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        shown = repr(text) if len(text) <= 40 else f"a {len(text)}-character value"
-        raise argparse.ArgumentTypeError(f"invalid int value: {shown}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {brief_text(text)}") from None
 
 
 _INT = {"type": _int, "required": True}
@@ -313,7 +318,10 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:      # named as parse_args would, but a long one by its length
+            raise InputError("unrecognized arguments: "
+                             + " ".join(a if len(a) <= 40 else brief_text(a) for a in extras))
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "table":   # a grid: one field and one record per point

@@ -11,10 +11,11 @@ at (row (s,t), column (u,v)) is
 
 so its trace is -(N^2+1) whenever phi vanishes on the diagonal pairing.
 The pairing is bilinear mod N, so the operator is held as its 4 x 4 Gram
-matrix of Python ints: the trace comes out in O(N^3) integer steps and
-the defect of M^2 = I from four kernel sizes of O(N^2) steps each, both
-in O(N^2) memory.  The dense (N^4-1)^2 matrix is only ever written out, as
-the matrix dump, whose rows are joined from a table of per-block cells.
+matrix of Python ints, which must be invertible mod N (a perfect
+pairing): the trace comes out in O(N^3) integer steps and the defect of
+M^2 = I from one kernel size of O(N^2) steps, both in O(N^2) memory.  The
+dense (N^4-1)^2 matrix is only ever written out, as the matrix dump,
+whose rows are joined from a table of per-block cells.
 Which character phi and which pairing argument make this well defined is
 not obvious, so three readings are registered in CHARACTER_VARIANTS:
 construction refuses literal-d, whose character is not periodic on O,
@@ -46,10 +47,10 @@ CHARACTER_VARIANTS = (LITERAL_D, INVERSE_DIFFERENT, SYMPLECTIC_INVDIFF)
 DEFAULT_VARIANT = SYMPLECTIC_INVDIFF
 
 # Bytes the Sczech operator is charged per residue pair before allocating.
-# The largest thing trace() and involution_defect() hold is one kernel
-# size's count of half-values: tracemalloc peaks of 133-160 bytes per pair
-# at N = 30..100 and 183-208 at N = 300..400 (d = -2 and -7, both variants),
-# so 256 is an upper bound.
+# The largest thing its construction, trace() and involution_defect() hold
+# is one kernel size's count of half-values: tracemalloc peaks of 133-160
+# bytes per pair at N = 30..100 and 183-208 at N = 300..400 (d = -2 and -7,
+# both variants), so 256 is an upper bound.
 _BYTES_PER_PAIR = 256
 # The matrix dump's table is charged per cell of its N^7: tracemalloc peaks of
 # the whole dump are 19.5, 15.2, 12.9, 11.5, 10.7 bytes a cell at N = 4..8.
@@ -197,15 +198,19 @@ class SczechOperator:
     u = (a1 + b1 w)/N, v = (a2 + b2 w)/N.  The entry at (x, z) is
     -a - e(x^T A z / N) / N^2 with a = 1/(N^2 (N^2 - 1)) and
     e(t) = exp(2 pi i t), so the 4 x 4 integer Gram matrix A of the pairing
-    (a tuple of rows of ints; any 4 x 4 integer sequence is accepted) fixes
-    the operator.  trace() is read off A in O(N^3) integer steps and
-    involution_defect() in O(N^2), neither holding more than O(N^2); the
-    dense matrix exists only as the text of the dump.
+    (a tuple of rows of ints) fixes the operator.  The pairing must be
+    perfect: a Gram matrix with A x = 0 for some x != 0 mod N is refused
+    at construction, before any other work.  trace() is read off A in
+    O(N^3) integer steps and involution_defect() in O(N^2), neither holding
+    more than O(N^2); the dense matrix exists only as the text of the dump.
     """
 
     def __init__(self, N: int, gram) -> None:
         self.N = N
         self.gram = tuple(tuple(int(a) for a in row) for row in gram)
+        if self._kernel_size(self.gram) != 1:
+            raise InputError(f"the Gram matrix {self.gram} is singular mod {N}; "
+                             "the operator needs a perfect pairing")
 
     def _entry_values(self) -> list[complex]:
         """The N values an entry takes, indexed by its pairing exponent.
@@ -269,47 +274,28 @@ class SczechOperator:
     def involution_defect(self) -> float:
         """max |M^2 - I| over all entries, exactly, from the structure of M^2.
 
-        Write M = -a J - chi / N^2 with J all ones.  On the index set
+        Write M = -a J - chi / N^2 with J all ones.  The pairing is perfect,
+        so A^T x and A z vanish only at x = z = 0, which is no index, and
 
-            chi^2[x, z] = N^4 [A^T x + A z = 0] - 1,
-            (chi J)[x, z] = N^4 [A^T x = 0] - 1,   (J chi)[x, z] = N^4 [A z = 0] - 1,
+            chi^2[x, z] = N^4 [A^T x + A z = 0] - 1,   chi J = J chi = -J,
 
-        so an entry of M^2 - I depends only on rL = [A^T x = 0], rR = [A z = 0],
-        dlt = [-A^T x = A z] and [x = z].  How many entries carry each
-        indicator tuple follows from four kernel sizes: of A, of A^T, of
-        A + A^T (the x with -A^T x = A x) and of A and A^T together.  The
-        pairs (x, z) with A^T x + A z = 0 form the kernel of the map
-        [A^T A] on (Z/N)^8, whose transpose x -> (A x, A^T x) has kernel
-        ker A & ker A^T; a Z/N-linear map and its transpose have images of
-        the same size, so there are N^4 |ker A & ker A^T| such pairs.  The
-        maximum runs over the tuples that occur, each entry an integer over
-        N^4 (N^2 - 1)^2, and is divided once (correctly rounded).
+        so an entry of M^2 - I depends only on dlt = [-A^T x = A z] and
+        [x = z].  dlt holds at one z in each row, z = -A^-1 A^T x, and that z
+        is x exactly when (A + A^T) x = 0: one kernel size counts these rows
+        as `equal`.  The maximum runs over the pairs (dlt, [x = z]) that
+        occur, each entry an integer over N^4 (N^2 - 1)^2, and is divided
+        once (correctly rounded).
         """
         N, A = self.N, self.gram
-        size, n2, n4 = N**4 - 1, N**2, N**4
-        transpose = tuple(zip(*A))
-        ker_a, ker_t = self._kernel_size(A), self._kernel_size(transpose)
-        ker_both = self._kernel_size(A + transpose)
-        # x = 0 is no index; it lies in every kernel
-        u0, v0, both_zero = ker_t - 1, ker_a - 1, ker_both - 1      # A^T x = 0, A x = 0, both
+        size, n4, m = N**4 - 1, N**4, N**2 - 1      # a = 1 / (N^2 m)
+        # x = 0 is no index; it lies in the kernel
         equal = self._kernel_size([list(map(operator.add, r, t))
-                                   for r, t in zip(A, transpose)]) - 1
-        matched = n4 * ker_both - ker_a * ker_t     # pairs with -A^T x = A z != 0
-        # entries per code 4 rL + 2 rR + dlt: over the whole matrix, on its diagonal
-        total = {0b000: (size - u0) * (size - v0) - matched, 0b001: matched,
-                 0b010: (size - u0) * v0, 0b100: u0 * (size - v0), 0b111: u0 * v0}
-        diagonal = {0b000: size - u0 - v0 - equal + 2 * both_zero, 0b001: equal - both_zero,
-                    0b010: v0 - both_zero, 0b100: u0 - both_zero, 0b111: both_zero}
-
-        m = n2 - 1              # a = 1 / (N^2 m); entries over the denominator N^4 m^2
-
-        def entry(code: int, eq: int) -> int:
-            r_sum, dlt = (code >> 2) + (code >> 1 & 1), code & 1
-            return size + m * (n4 * r_sum - 2) + (dlt - eq) * n4 * m * m - m * m
-
-        occurring = [entry(c, 1) for c, n in diagonal.items() if n]
-        occurring += [entry(c, 0) for c, n in total.items() if n > diagonal[c]]
-        return max(map(abs, occurring)) / (n4 * m * m)
+                                   for r, t in zip(A, zip(*A))]) - 1
+        # entries per (dlt, [x = z]): the first two on the diagonal, the others off it
+        count = {(0, 1): size - equal, (1, 1): equal,
+                 (1, 0): size - equal, (0, 0): size * (size - 2) + equal}
+        return max(abs(size - 2 * m - m * m + (dlt - eq) * n4 * m * m)
+                   for (dlt, eq), n in count.items() if n) / (n4 * m * m)
 
 
 def sczech_operator(field: QuadField, N: int, variant: str = DEFAULT_VARIANT) -> SczechOperator:

@@ -46,6 +46,11 @@ def brief(n: int) -> str:
     return f"a {k + 1}-digit {'negative ' if n < 0 else ''}integer"
 
 
+def brief_text(text: str) -> str:
+    """repr(text) for a message, or "a k-character value" past 40 characters."""
+    return repr(text) if len(text) <= 40 else f"a {len(text)}-character value"
+
+
 def _mib(n: int) -> str:
     """n bytes in MiB to the nearest integer, ties to even as "%.0f" rounds."""
     q, r = divmod(n, 2**20)

@@ -20,8 +20,8 @@ from .eisenstein import (CHARACTER_VARIANTS, DEFAULT_VARIANT,
                          IllDefinedVariantError, cusp_count,
                          level_one_sigma_traces, sczech_operator,
                          trace_h2_eis, trace_sigma_h1_eis, sczech_trace)
-from .exactmath import (ConformanceError, InputError, factorize, hilbert2, is_prime,
-                        kronecker, legendre, sym_power_trace)
+from .exactmath import (ConformanceError, InputError, brief_text, factorize, hilbert2,
+                        is_prime, kronecker, legendre, sym_power_trace)
 from .finitering import (FiniteRing, cusp_count_bruteforce, fixed_coset_report, sl2_order,
                          sl2_order_formula)
 from .lefschetz import (BRACKET_VARIANTS, DEFAULT_BRACKET, adjudicate_brackets,
@@ -245,7 +245,7 @@ def run_suites(names: list[str]) -> list[SuiteResult]:
     results = []
     for name in names:
         if name not in _SUITE_FUNCS:
-            raise InputError(f"unknown verify suite {name!r}; choose from "
+            raise InputError(f"unknown verify suite {brief_text(name)}; choose from "
                              f"{', '.join(SUITES)} or 'all'")
         res = SuiteResult(name)
         try:

@@ -310,11 +310,35 @@ class TestOutOfRangeIntegers:
 
     def test_unparseable_integer_is_named_by_its_length(self, capsys, digit_limit):
         # argparse's own words for a short value; a long one, here past the
-        # digit limit, is not echoed
-        for argv, shown in ((["--N", "12x"], "--N: invalid int value: '12x'"),
-                            (["--N", "7" * 5000], "--N: invalid int value: a 5000-character value")):
-            code, out, err = run_cli(capsys, "bound", "--d", "-2", *argv, "--k", "0")
-            assert (code, out, err) == (1, "", f"error: argument {shown}\n")
+        # digit limit, is not echoed, and neither is a long word that the
+        # other refusals name
+        long, bound = "7" * 5000, ["bound", "--d", "-2", "--N", "5", "--k", "0"]
+        commands = ", ".join(map(repr, ("field", "lefschetz", "eisenstein", "sczech", "bound",
+                                        "gl2", "table", "verify")))
+        suites = "symbols, classgroup, cusps, fixedpoints, sczech, integrality, anchors or 'all'"
+        for argv, message in (
+            (["bound", "--d", "-2", "--N", "12x", "--k", "0"],
+             "argument --N: invalid int value: '12x'"),
+            (["bound", "--d", "-2", "--N", long, "--k", "0"],
+             "argument --N: invalid int value: a 5000-character value"),
+            ([*bound, "--format", "xml"],
+             "argument --format: invalid choice: 'xml' (choose from 'json', 'csv', 'tex')"),
+            ([*bound, "--format", long], "argument --format: invalid choice: "
+             "a 5000-character value (choose from 'json', 'csv', 'tex')"),
+            ([*bound, "--zz"], "unrecognized arguments: --zz"),
+            ([*bound, "--zz", f"--{long}"], "unrecognized arguments: --zz a 5002-character value"),
+            (["zz"], f"argument command: invalid choice: 'zz' (choose from {commands})"),
+            ([long], f"argument command: invalid choice: a 5000-character value "
+                     f"(choose from {commands})"),
+            (["lefschetz", "zz"], "argument subcommand: invalid choice: 'zz' "
+                                  "(choose from 'principal', 'level-one')"),
+            (["lefschetz", long], "argument subcommand: invalid choice: a 5000-character value "
+                                  "(choose from 'principal', 'level-one')"),
+            (["verify", "zz"], f"unknown verify suite 'zz'; choose from {suites}"),
+            (["verify", long],
+             f"unknown verify suite a 5000-character value; choose from {suites}"),
+        ):
+            assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
     def test_table_keeps_its_printable_points(self, capsys, digit_limit):
         code, out, err = run_cli(capsys, "table", "--d-list", "-2",
@@ -372,6 +396,11 @@ class TestOutOfRangeIntegers:
             ["verify", str(10**20)],
             ["bound", "--d", "-2", "--N", "7" * 5000, "--k", "0"],
             ["table", "--d-list", "-2", "--N-list", "5", "7" * 5000, "--k-list", "0"],
+            ["bound", "--d", "-2", "--N", "5", "--k", "0", "--format", "x" * 5000],
+            ["bound", "--d", "-2", "--N", "5", "--k", "0", "--" + "x" * 5000],
+            ["x" * 5000],
+            ["lefschetz", "x" * 5000],
+            ["verify", "x" * 5000],
         ]
         leaves = leaf_commands(cli.build_parser())
         assert leaves == {leaf for leaf in leaves for a in argvs if tuple(a[:len(leaf)]) == leaf}

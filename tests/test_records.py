@@ -58,9 +58,9 @@ def test_mutable_records_own_their_lists():
 
 
 def test_sczech_operator_coerces_its_gram_to_ints():
-    rows = [[True, 0, 0, 0], [0, 2.0, 0, 0], [0, 0, Fraction(3), 0], [0, 0, 0, -1]]
-    op = SczechOperator(3, rows)
-    assert op.gram == ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 3, 0), (0, 0, 0, -1))
+    rows = [[True, 0, 0, 0], [0, 2.0, 0, 0], [0, 0, Fraction(4), 0], [0, 0, 0, -1]]
+    op = SczechOperator(3, rows)                    # det -8, a unit mod 3
+    assert op.gram == ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 4, 0), (0, 0, 0, -1))
     assert all(type(a) is int for row in op.gram for a in row)
     assert type(op.gram) is tuple and all(type(row) is tuple for row in op.gram)
 
