@@ -15,6 +15,7 @@ internal check raised (`table` emits an error record for it instead).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import product
 
@@ -315,13 +316,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+_NAMED = 3     # unrecognized arguments named in a refusal; the rest are counted
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args, extras = parser.parse_known_args(argv)
-        if extras:      # named as parse_args would, but a long one by its length
-            raise InputError("unrecognized arguments: "
-                             + " ".join(a if len(a) <= 40 else brief_text(a) for a in extras))
+        if extras:      # named as parse_args would, but a long one by its
+            # length, and only the first _NAMED of them; the rest are counted
+            named = " ".join(a if len(a) <= 40 else brief_text(a) for a in extras[:_NAMED])
+            more = f" and {len(extras) - _NAMED} more" if len(extras) > _NAMED else ""
+            raise InputError(f"unrecognized arguments: {named}{more}")
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "table":   # a grid: one field and one record per point
@@ -340,7 +346,27 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script and `python -m` entry: run `main()` on sys.argv,
+    flush stdout and stderr, and end the process with `os._exit`.
+
+    The hard exit skips interpreter finalization: atexit handlers and the
+    teardown of every loaded module, the installation's `.pth` imports
+    among them, a few milliseconds of a query.  Nothing here needs them:
+    the library registers no atexit handler and leaves no file open once
+    `main()` returns.  In-process callers use `main()`, which returns the
+    exit code.  An exception from `main()`, and argparse's `SystemExit`
+    (`--help`), leave the normal way.  When the reader has closed the
+    pipe (`... | head`), the process exits 1 with no traceback, stdout
+    pointed at os.devnull as the Python docs advise.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -164,26 +164,26 @@ def kronecker(a: int, n: int) -> int:
         n = -n
         if a < 0:
             sign = -1
-    twos = 0
-    while n % 2 == 0:
-        n //= 2
-        twos += 1
+    # x & -x is the largest power of 2 dividing x, and x & 7 is x mod 8
+    # (for negative x too); (2/m) = -1 exactly when m = +-3 mod 8.
+    twos = (n & -n).bit_length() - 1
     if twos:
-        if a % 2 == 0:
+        if not a & 1:
             return 0
-        if twos % 2 and a % 8 in (3, 5):
+        n >>= twos
+        if twos & 1 and a & 7 in (3, 5):
             sign = -sign
     # Jacobi loop on the remaining odd positive n.
     a %= n
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
+        if not a & 1:
+            twos = (a & -a).bit_length() - 1
+            a >>= twos
+            if twos & 1 and n & 7 in (3, 5):
                 sign = -sign
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
+        if a & n & 2:       # reciprocity: both are 3 mod 4
             sign = -sign
-        a %= n
+        a, n = n % a, a
     return sign if n == 1 else 0
 
 

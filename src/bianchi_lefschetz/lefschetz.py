@@ -186,24 +186,19 @@ def _level_one_coefficients(field: QuadField, involution: str) -> tuple[int, int
     return c1, c2, c3, first, second
 
 
-def lefschetz_level_one(field: QuadField, involution: str, k: int,
-                        variant: str = DEFAULT_BRACKET) -> Fraction:
-    """L(rho, SL2(O), E_{k,k}) for rho in {sigma, tau}.
+def _level_one_num_den(field: QuadField, involution: str, k: int,
+                       variant: str) -> tuple[int, int]:
+    """L(rho, SL2(O), E_{k,k}) as an unreduced integer fraction (num, den).
 
-    Four exact-rational terms, with sgn = (-1)^k and q = -1 for sigma,
-    +1 for tau:
+    Four terms, with sgn = (-1)^k and q = -1 for sigma, +1 for tau:
     t1 = -q (k+1) c1 / 12, t2 = q sgn (k+1) c2 / 12, t3 = c3 [(k+1)/4] / 2
     and t4 = (first + sgn second) [(k+1)/3] / 3, and L = sgn (t1 + t2 + t3 + t4).
     The integer products come from the memo `_level_one_coefficients`.
-    A non-integral total is returned rather than raised, because
-    integrality is exactly what adjudicates the bracket readings.
+    den = 12 den([(k+1)/4]) den([(k+1)/3]) > 0 depends on the reading and
+    k only, so sigma and tau share it.
     """
-    if involution not in (SIGMA, TAU):
-        raise InputError(f"unknown involution {involution!r}")
-    if k < 0:
-        raise InputError(f"weight must be >= 0, got {brief(k)}")
     q = 1 if involution == TAU else -1
-    sgn = (-1) ** k
+    sgn = -1 if k & 1 else 1
     c1, c2, c3, first, second = _level_one_coefficients(field, involution)
     b4, b3 = bracket_factor(variant, 4, k), bracket_factor(variant, 3, k)
     # the four terms over their common denominator 12 * den(b4) * den(b3)
@@ -211,7 +206,21 @@ def lefschetz_level_one(field: QuadField, involution: str, k: int,
     num = (q * (k + 1) * (sgn * c2 - c1) * d4 * d3
            + 6 * c3 * b4.numerator * d3
            + 4 * (first + sgn * second) * b3.numerator * d4)
-    return Fraction(sgn * num, 12 * d4 * d3)
+    return sgn * num, 12 * d4 * d3
+
+
+def lefschetz_level_one(field: QuadField, involution: str, k: int,
+                        variant: str = DEFAULT_BRACKET) -> Fraction:
+    """L(rho, SL2(O), E_{k,k}) for rho in {sigma, tau}, by the four-term
+    formula of `_level_one_num_den`.  A non-integral total is returned
+    rather than raised, because integrality is exactly what adjudicates
+    the bracket readings.
+    """
+    if involution not in (SIGMA, TAU):
+        raise InputError(f"unknown involution {involution!r}")
+    if k < 0:
+        raise InputError(f"weight must be >= 0, got {brief(k)}")
+    return Fraction(*_level_one_num_den(field, involution, k, variant))
 
 
 # ---------------------------------------------------------------------------
@@ -266,20 +275,22 @@ def adjudicate_brackets(fields: list[QuadField], k_max: int) -> dict[str, Varian
             anchor_sigma = 2 + f.h - two_torsion_count(f)
             anchor_tau = 2 - f.h - two_torsion_count(f)
             for k in range(k_max + 1):
-                ls = lefschetz_level_one(f, SIGMA, k, variant)
-                lt = lefschetz_level_one(f, TAU, k, variant)
-                for involution, value in ((SIGMA, ls), (TAU, lt)):
-                    if value.denominator != 1:
-                        rec.integrality_failures.append((f.d, involution, k, str(value)))
+                # in integers over the den sigma and tau share; a Fraction
+                # is built only to name a failure
+                ls, den = _level_one_num_den(f, SIGMA, k, variant)
+                lt, _ = _level_one_num_den(f, TAU, k, variant)
+                for involution, num in ((SIGMA, ls), (TAU, lt)):
+                    if num % den:
+                        rec.integrality_failures.append(
+                            (f.d, involution, k, str(Fraction(num, den))))
                 if k == 0:
-                    if ls != anchor_sigma:
-                        rec.anchor_failures.append((f.d, SIGMA, str(ls)))
-                    if lt != anchor_tau:
-                        rec.anchor_failures.append((f.d, TAU, str(lt)))
+                    if ls != anchor_sigma * den:
+                        rec.anchor_failures.append((f.d, SIGMA, str(Fraction(ls, den))))
+                    if lt != anchor_tau * den:
+                        rec.anchor_failures.append((f.d, TAU, str(Fraction(lt, den))))
                     continue
-                total = ls + lt
-                parity_ok = total.denominator == 1 and (total + 2**f.t) % 4 == 0
-                if not parity_ok:
+                # (ls + lt) / den + 2^t is an integer divisible by 4
+                if (ls + lt + (den << f.t)) % (4 * den):
                     if k % 2 == 0:
                         rec.parity_failures_even.append((f.d, k))
                     else:

@@ -133,17 +133,6 @@ def _omega_mult(field: QuadField, v: tuple[int, int]) -> tuple[int, int]:
     return (-field.omega_norm * y, x + field.omega_trace * y)
 
 
-def is_unimodular_pair_oracle(field: QuadField, N: int, x: tuple[int, int], y: tuple[int, int]) -> bool:
-    """Decide whether (x, y) generates O/(N) as an ideal, via lattice index.
-
-    The ideal (x, y) of O/(N) is, as a Z-module, generated by x, omega*x,
-    y, omega*y together with N*O; the pair is unimodular exactly when that
-    lattice is all of Z^2, that is when its Hermite form has index a*c = 1.
-    """
-    a, _, c = _hnf2([x, _omega_mult(field, x), y, _omega_mult(field, y), (N, 0), (0, N)])
-    return a * c == 1
-
-
 # ---------------------------------------------------------------------------
 # Ideal-lattice class number oracle
 # ---------------------------------------------------------------------------

@@ -26,6 +26,16 @@ def records_of(out):
     return [json.loads(line) for line in out.strip().split("\n") if line]
 
 
+def fresh(args, **kwargs):
+    """Run `python *args` in a fresh interpreter that imports the package
+    from src/, with stdout buffered as it is by default, so that output
+    the entry fails to flush is lost."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+
+
 class TestFieldCommand:
     def test_field_record(self, capsys):
         code, out, _ = run_cli(capsys, "field", "--d", "-2")
@@ -327,6 +337,9 @@ class TestOutOfRangeIntegers:
              "a 5000-character value (choose from 'json', 'csv', 'tex')"),
             ([*bound, "--zz"], "unrecognized arguments: --zz"),
             ([*bound, "--zz", f"--{long}"], "unrecognized arguments: --zz a 5002-character value"),
+            ([*bound, "--zz", "--yy", f"--{long}"],
+             "unrecognized arguments: --zz --yy a 5002-character value"),
+            ([*bound, *["--zz"] * 2000], "unrecognized arguments: --zz --zz --zz and 1997 more"),
             (["zz"], f"argument command: invalid choice: 'zz' (choose from {commands})"),
             ([long], f"argument command: invalid choice: a 5000-character value "
                      f"(choose from {commands})"),
@@ -398,17 +411,16 @@ class TestOutOfRangeIntegers:
             ["table", "--d-list", "-2", "--N-list", "5", "7" * 5000, "--k-list", "0"],
             ["bound", "--d", "-2", "--N", "5", "--k", "0", "--format", "x" * 5000],
             ["bound", "--d", "-2", "--N", "5", "--k", "0", "--" + "x" * 5000],
+            ["bound", "--d", "-2", "--N", "5", "--k", "0", *["--" + "z" * 38] * 2000],
             ["x" * 5000],
             ["lefschetz", "x" * 5000],
             ["verify", "x" * 5000],
         ]
         leaves = leaf_commands(cli.build_parser())
         assert leaves == {leaf for leaf in leaves for a in argvs if tuple(a[:len(leaf)]) == leaf}
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         for argv in argvs:
-            proc = subprocess.run([sys.executable, "-m", "bianchi_lefschetz", *argv],
-                                  capture_output=True, text=True, env=env, timeout=5)
+            proc = fresh(["-m", "bianchi_lefschetz", *argv], capture_output=True, text=True,
+                         timeout=5)
             what = " ".join(argv)[:80]
             assert "Traceback" not in proc.stdout + proc.stderr, what
             assert len(proc.stderr.encode()) < 200, what
@@ -529,6 +541,59 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "nope")
         assert code == 1
         assert "unknown verify suite" in err
+
+
+TABLE_200 = ["table", "--d-list", "-2", "-5", "-6", "-7", "-10", "-11", "-13", "-14",
+             "--N-list", "3", "5", "7", "9", "11", "--k-list", "0", "2", "4", "6", "8",
+             "--format", "csv"]
+
+
+class TestEntry:
+    """The console entry, in fresh processes: it flushes and ends in
+    os._exit, so what a test sees through a pipe is all that was flushed."""
+
+    @pytest.mark.parametrize("argv", [["verify", "all"], TABLE_200], ids=["verify", "table"])
+    def test_piped_output_is_what_main_prints(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and not err
+        if argv[0] == "table":
+            assert len(out.splitlines()) == 201     # a header and 200 records
+        proc = fresh(["-m", "bianchi_lefschetz", *argv], capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode(), b"")
+
+    def test_input_error_exits_1(self):
+        proc = fresh(["-m", "bianchi_lefschetz", "field", "--d", "-3"],
+                     capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1 and not proc.stdout
+        assert proc.stderr.startswith("error: d must be a square-free negative integer")
+
+    def test_hard_failure_exits_2(self):
+        script = ("import sys\n"
+                  "from bianchi_lefschetz import cli, verify\n"
+                  "verify._SUITE_FUNCS['anchors'] = lambda res: res.check(False, 'patched')\n"
+                  "sys.argv = ['bianchi-lefschetz', 'verify', 'anchors']\n"
+                  "cli.entry()\n")
+        proc = fresh(["-c", script], capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "FAIL anchors: patched\nverify: 1 checks, 1 hard failures, exit 2\n", "")
+
+    def test_help_exits_0(self):
+        proc = fresh(["-m", "bianchi_lefschetz", "--help"], capture_output=True, text=True,
+                     timeout=60)
+        assert proc.returncode == 0 and not proc.stderr
+        assert proc.stdout.startswith("usage: bianchi-lefschetz")
+        assert "Command-line surface." in proc.stdout
+
+    @pytest.mark.parametrize("argv", [["verify", "all"], TABLE_200], ids=["verify", "table"])
+    def test_closed_pipe_exits_1_without_a_traceback(self, argv):
+        read, write = os.pipe()
+        os.close(read)          # no reader: the first write fails with EPIPE
+        try:
+            proc = fresh(["-m", "bianchi_lefschetz", *argv], stdout=write,
+                         stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_csv_quotes_commas_and_quotes():

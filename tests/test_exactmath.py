@@ -110,6 +110,42 @@ class TestKronecker:
             for a in range(-60, 61):
                 assert kronecker(a, n) == jacobi(a, n)
 
+    def test_matches_the_division_loop(self):
+        # the symbol as it was written with % and // before it read bits:
+        # n = 0, negative n and even n take their own branches
+        def division_loop(a, n):
+            if n == 0:
+                return 1 if a in (1, -1) else 0
+            sign = 1
+            if n < 0:
+                n = -n
+                if a < 0:
+                    sign = -1
+            twos = 0
+            while n % 2 == 0:
+                n //= 2
+                twos += 1
+            if twos:
+                if a % 2 == 0:
+                    return 0
+                if twos % 2 and a % 8 in (3, 5):
+                    sign = -sign
+            a %= n
+            while a:
+                while a % 2 == 0:
+                    a //= 2
+                    if n % 8 in (3, 5):
+                        sign = -sign
+                a, n = n, a
+                if a % 4 == 3 and n % 4 == 3:
+                    sign = -sign
+                a %= n
+            return sign if n == 1 else 0
+
+        span = range(-300, 301)
+        assert [kronecker(a, n) for a in span for n in span] == \
+            [division_loop(a, n) for a in span for n in span]
+
     def test_multiplicative_in_both_arguments(self):
         vals = [-10, -7, -3, -2, -1, 1, 2, 3, 5, 6]
         for a1 in vals:

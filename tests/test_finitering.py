@@ -11,11 +11,22 @@ from bianchi_lefschetz.finitering import (FiniteRing, cusp_count_bruteforce,
                                           enumerate_sl2, fixed_coset_count,
                                           fixed_coset_report, projective_line,
                                           sl2_order, sl2_order_formula)
-from bianchi_lefschetz.oracles import is_unimodular_pair_oracle
-from bianchi_lefschetz.quadfield import (INERT, RAMIFIED, SPLIT, make_field,
+from bianchi_lefschetz.oracles import _hnf2, _omega_mult
+from bianchi_lefschetz.quadfield import (INERT, RAMIFIED, SPLIT, QuadField, make_field,
                                          splitting_type, unimodular_column_count)
 
 F2, F5, F7, F11 = (make_field(d) for d in (-2, -5, -7, -11))
+
+
+def is_unimodular_pair_oracle(field: QuadField, N: int, x: tuple[int, int], y: tuple[int, int]) -> bool:
+    """Decide whether (x, y) generates O/(N) as an ideal, via lattice index.
+
+    The ideal (x, y) of O/(N) is, as a Z-module, generated by x, omega*x,
+    y, omega*y together with N*O; the pair is unimodular exactly when that
+    lattice is all of Z^2, that is when its Hermite form has index a*c = 1.
+    """
+    a, _, c = _hnf2([x, _omega_mult(field, x), y, _omega_mult(field, y), (N, 0), (0, N)])
+    return a * c == 1
 
 
 class TestRingBasics:

@@ -254,6 +254,46 @@ class TestLevelOneAgainstReference:
         # four fields times two involutions, shared by 3 variants x 25 weights
         assert _level_one_coefficients.cache_info().misses == 8
 
+    def test_adjudication_matches_the_fraction_reference(self):
+        # the verify grid, then eight fields to k = 40, on which every kind
+        # of failure is recorded somewhere (d = -10 breaks the anchors)
+        for ds, k_max in (((-2, -5, -7, -11), 24),
+                          ((-2, -5, -6, -7, -10, -11, -15, -19), 40)):
+            fields = [make_field(d) for d in ds]
+            want = _adjudicate_ref(fields, k_max)
+            got = {v: {"integrality": r.integrality_failures, "even": r.parity_failures_even,
+                       "odd": r.parity_failures_odd, "anchor": r.anchor_failures}
+                   for v, r in adjudicate_brackets(fields, k_max).items()}
+            assert got == want, ds
+        assert all(want[RATIONAL].values())
+
+
+def _adjudicate_ref(fields, k_max):
+    # the adjudication on Fraction values, as it was before it ran on the
+    # integer numerators, with the level-one numbers from _level_one_ref
+    records = {}
+    for variant in BRACKET_VARIANTS:
+        rec = records[variant] = {"integrality": [], "even": [], "odd": [], "anchor": []}
+        for f in fields:
+            anchor_sigma = 2 + f.h - two_torsion_count(f)
+            anchor_tau = 2 - f.h - two_torsion_count(f)
+            for k in range(k_max + 1):
+                ls = _level_one_ref(f, SIGMA, k, variant)
+                lt = _level_one_ref(f, TAU, k, variant)
+                for involution, value in ((SIGMA, ls), (TAU, lt)):
+                    if value.denominator != 1:
+                        rec["integrality"].append((f.d, involution, k, str(value)))
+                if k == 0:
+                    if ls != anchor_sigma:
+                        rec["anchor"].append((f.d, SIGMA, str(ls)))
+                    if lt != anchor_tau:
+                        rec["anchor"].append((f.d, TAU, str(lt)))
+                    continue
+                total = ls + lt
+                if not (total.denominator == 1 and (total + 2**f.t) % 4 == 0):
+                    rec["even" if k % 2 == 0 else "odd"].append((f.d, k))
+    return records
+
 
 class TestAdjudication:
     def test_report_shape(self):
