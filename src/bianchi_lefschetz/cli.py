@@ -293,11 +293,23 @@ _HELP = {
 }
 
 
-def build_parser() -> _Parser:
+def _names(argv: list[str] | None, words: str) -> bool:
+    return argv is not None and argv[:len(words.split())] == words.split()
+
+
+def build_parser(argv: list[str] | None = None) -> _Parser:
+    """The parser, or, when argv's first words name a leaf, the branch of
+    that leaf alone: the parse and every message are the same, since a leaf
+    parses its own options.  Any other argv, and none, gets the whole
+    parser, whose help and refusals list every command."""
+    leaves = [leaf for leaf in _LEAVES if _names(argv, leaf[0])]
+    verify = _names(argv, "verify")
+    if not (leaves or verify):
+        leaves, verify = _LEAVES, True
     parser = _Parser(prog="bianchi-lefschetz", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     groups = {}
-    for words, func, options in _LEAVES:
+    for words, func, options in leaves:
         top, *leaf = words.split()
         if not leaf:
             p = sub.add_parser(top, help=_HELP[top])
@@ -311,8 +323,9 @@ def build_parser() -> _Parser:
                            **_OPTIONS[name])
         p.add_argument("--format", choices=("json", "csv", "tex"), default="json")
         p.set_defaults(func=func)
-    sub.add_parser("verify", help=_HELP["verify"]).add_argument(
-        "suite", nargs="?", default="all")
+    if verify:
+        sub.add_parser("verify", help=_HELP["verify"]).add_argument(
+            "suite", nargs="?", default="all")
     return parser
 
 
@@ -320,7 +333,7 @@ _NAMED = 3     # unrecognized arguments named in a refusal; the rest are counted
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = build_parser(sys.argv[1:] if argv is None else argv)
     try:
         args, extras = parser.parse_known_args(argv)
         if extras:      # named as parse_args would, but a long one by its

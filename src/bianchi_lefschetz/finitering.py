@@ -12,14 +12,21 @@ first use and keeps:
 - `masks()`: one byte per element, bit i set when it lies in the i-th
   maximal ideal (N^2 bytes, charged against the memory budget first).  A
   unit has mask 0, and (x, y) is unimodular when masks[x] & masks[y] == 0.
+  Each ideal over p sets its p hits in a p x p tile (one for an inert p),
+  repeated over the codes.
 - `product_rows()`: one `bytes` row per element x, holding the one-byte
   codes of x*y for every y (N^4 bytes in all).  Padded to 256 bytes, row
   x is the `bytes.translate` table that multiplies a string of codes by
-  x.  The rows are built from N^3 translates of N bytes, each shifting a
-  string of multiples by a per-level addition table.  One-byte codes
-  need |R| = N^2 <= 256, so the table and the SL2 order, P^1 scan and
-  SL2 listing that read it refuse N > 16.  Only the censuses that already
-  do |R|^2 work build it; the column census reads the masks alone.
+  x.  The rational units s in (Z/N)^x act on the codes by scaling, and
+  row s*x is row x translated by "multiply by s".  So one row per orbit
+  is built from N translates of N bytes, each shifting a string of
+  multiples by a per-level addition table, and every other row is one
+  translate of N^2 bytes: about N^3 / phi(N) small translates (N + 2
+  orbits at a prime N) and N^2 large ones.  The orbits and the scaling
+  tables depend on N alone and are kept per level.  One-byte codes need
+  |R| = N^2 <= 256, so the table and the SL2 order, P^1 scan and SL2
+  listing that read it refuse N > 16.  Only the censuses that already do
+  |R|^2 work build it; the column census reads the masks alone.
 Every pair handed back holds the tuples of `elements()`.  The SL2 listing
 hands back packed codes, four element codes in one int per matrix, and
 `FiniteRing.matrix` decodes one into those tuples.
@@ -28,7 +35,7 @@ The censuses are the exhaustive side of dual-route checks: SL2 orders,
 projective lines, unipotent-coset fixed-point counts under the two
 involutions, and cusp counts.  None of them uses a closed formula.  Each
 does work in proportion to what it must examine:
-- the SL2 count tallies the |R|^2 products once;
+- the SL2 count tallies the products of one row per unit orbit;
 - the projective line scans the |R| codes for the least element of each
   unit orbit, then, for each such x, the codes again for the least y of
   each orbit of the stabiliser of x, gathering orbits off the product
@@ -47,7 +54,8 @@ import sys
 from collections import Counter
 from functools import lru_cache
 from itertools import compress
-from operator import add
+from math import gcd
+from operator import add, floordiv, mul
 from typing import NamedTuple
 
 from .eisenstein import fixed_coset_formula
@@ -70,13 +78,14 @@ _SLOT_OFFSETS = (0, 1, 2, 3) if sys.byteorder == "big" else (3, 2, 1, 0)
 _BYTES_PER_MATRIX = 8
 # Bytes the product table holds per product: one byte of its row, plus,
 # spread over the N^4 products, each row's header and list slot and the
-# level's N^2 addition tables of 256 bytes (tracemalloc: 4.5, 3.5 and 2.6
-# at N = 11, 13 and 16, split, inert and ramified alike), so 5 bounds it
-# from N = 11 on.  Below that the fixed part is more per product, but the
-# whole table is under 60 KB.
+# level's N^2 addition tables of 256 bytes and unit-orbit tables
+# (tracemalloc, both per-level tables built inside: 4.2, 3.2 and 2.5 at
+# N = 11, 13 and 16, split, inert and ramified alike; 1.4, 1.3 and 1.2
+# with them kept from before), so 5 bounds it from N = 11 on.  Below that
+# the fixed part is more per product, but the whole table is under 60 KB.
 _BYTES_PER_PRODUCT = 5
-# Bytes the unit masks hold per element while built: 2.1-2.2 with one maximal
-# ideal, 3.2-3.4 with two to six (tracemalloc, N = 64..1012), so 4 bounds it.
+# Bytes the unit masks hold per element while built: 2.1 with one maximal
+# ideal, 3.2-3.3 with two to six (tracemalloc, N = 64..1012), so 4 bounds it.
 _BYTES_PER_ELEMENT = 4
 
 
@@ -100,6 +109,52 @@ def _sum_tables(N: int) -> tuple[bytes, ...]:
     rotated = [b"".join(blk[j:] + blk[:j] for blk in blocks) for j in range(N)]
     return tuple((rot[i * N:] + rot[:i * N]).ljust(256, b"\0")
                  for i in range(N) for rot in rotated)
+
+
+class _UnitOrbits(NamedTuple):
+    """The orbits of the rational units s in (Z/N)^x on the codes, s
+    scaling both coordinates; nothing here depends on the field."""
+    reps: tuple[int, ...]           # the least code of each orbit, in order
+    sizes: tuple[int, ...]          # [i]: the size of the orbit of reps[i]
+    multiples: tuple[bytes, ...]    # [i][e]: the code of e*reps[i]
+    source: bytes                   # [y]: the index in reps of y's orbit
+    scale: tuple[bytes | None, ...]  # [y]: "multiply by s" for an s with s*rep = y,
+                                     # None at the representatives themselves
+
+
+@lru_cache(maxsize=16)                  # one per level N <= _MAX_CODED_LEVEL
+def _unit_orbits(N: int) -> _UnitOrbits:
+    """The unit orbits of the codes at level N <= 16.  For y = s*r in the
+    orbit of r, scale[y] is "multiply by s", the translate table that
+    takes r's product row, or r's multiples, to y's."""
+    sums = _sum_tables(N)
+    size = N * N
+    # scaled[q][e] is e*q mod N, a slice of 0..N-1 repeated N times
+    ramp = bytes(range(N)) * N
+    scaled = [bytes(N)] + [ramp[:q * N:q] for q in range(1, N)]
+    # block p of "multiply by s" is the codes of e*s shifted by (p*s)*N
+    scales = [b"".join([scaled[s].translate(sums[p * s % N * N]) for p in range(N)])
+              .ljust(256, b"\0") for s in range(2, N) if gcd(s, N) == 1]
+    reps: list[int] = []
+    source = bytearray(size)
+    scale: list[bytes | None] = [None] * size
+    seen = bytearray(size)
+    for x in range(size):
+        if not seen[x]:
+            seen[x] = 1
+            source[x] = len(reps)
+            for table in scales:
+                y = table[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    source[y], scale[y] = len(reps), table
+            reps.append(x)
+    # both coordinates of p + q w scale by e, and the code is p*N + q
+    times_n = bytes(range(0, size, N)).ljust(256, b"\0")
+    multiples = tuple(bytes(map(add, scaled[x // N].translate(times_n), scaled[x % N]))
+                      for x in reps)
+    return _UnitOrbits(tuple(reps), tuple(map(source.count, range(len(reps)))), multiples,
+                       bytes(source), tuple(scale))
 
 
 class FiniteRing:
@@ -152,6 +207,8 @@ class FiniteRing:
 
         Membership in an ideal over p depends on (a mod p, b mod p) only,
         so each ideal's bits are a p x p tile repeated over the N x N codes.
+        The tile's hits are set directly, p steps per ideal: (p, omega - r)
+        holds a + b*omega when a = -b*r (mod p), pO only (0, 0).
         """
         if self._masks is None:
             ideals = [(p, r) for p, _, spl, roots in self.primes
@@ -164,11 +221,12 @@ class FiniteRing:
                           f"the unit masks at (d={self.field.d}, N={N})")
             bits = 0
             for i, (p, r) in enumerate(ideals):
-                # a + b w lies in pO when p | a, b; in (p, w - r) when p | a + b r
-                inside = [[a % p == b % p == 0 if r is None else (a + b * r) % p == 0
-                           for b in range(p)] for a in range(p)]
-                tile = b"".join(bytes(1 << i if hit else 0 for hit in row) * (N // p)
-                                for row in inside)
+                # a + b w lies in pO when p | a, b; in (p, w - r) when a = -b r
+                # (mod p): one hit per b, at byte a*p + b of the p x p tile
+                tile = bytearray(p * p)
+                for a, b in ([(0, 0)] if r is None else [(-b * r % p, b) for b in range(p)]):
+                    tile[a * p + b] = 1 << i
+                tile = b"".join(tile[a:a + p] * (N // p) for a in range(0, p * p, p))
                 bits |= int.from_bytes(tile * (N // p), "big")
             self._masks = bits.to_bytes(N * N, "big")
         return self._masks
@@ -179,21 +237,30 @@ class FiniteRing:
         memory budget before the first row is built.
 
         Row x padded to 256 bytes is the translate table of "multiply by x".
-        Its block for c is the codes of e*(x*w) over e, shifted by c*x; the
-        table takes N^3 translates of N bytes.
+        The row of the least x of each orbit of the rational units is built
+        block by block: its block for c is the codes of e*(x*w) over e,
+        shifted by c*x, N translates of N bytes.  Each other row, s*x for a
+        unit s, is row x translated by "multiply by s", since
+        (s*x)*y = s*(x*y): one translate of N^2 bytes.  With a few more
+        than N^2 / phi(N) orbits (N + 2 at a prime N, 46 at N = 16), that
+        is about N^3 / phi(N) small translates and N^2 large ones, against
+        N^3 small ones row by row.
         """
         if self._rows is None:
             N, T, Nm = self.N, self.T, self.Nm
             _admit(self, "the product table", _BYTES_PER_PRODUCT * N**4)
             sums = _sum_tables(N)
-            # multiples[y][e] is the code of e*y: both coordinates scale by e
-            scaled = [bytes(e * q % N for e in range(N)) for q in range(N)]
-            high = [bytes(N * s for s in row) for row in scaled]
-            multiples = [bytes(map(add, high[p], scaled[q])) for p in range(N) for q in range(N)]
-            # (a + b w)(c + e w) = c (a + b w) + e (-Nm b + (a + T b) w)
-            self._rows = [b"".join(map(multiples[-Nm * b % N * N + (a + T * b) % N].translate,
-                                       map(sums.__getitem__, multiples[a * N + b])))
-                          for a in range(N) for b in range(N)]
+            orbits = _unit_orbits(N)
+            multiples, source, scale = orbits.multiples, orbits.source, orbits.scale
+            built = []
+            for x, mx in zip(orbits.reps, multiples):
+                # (a + b w)(c + e w) = c (a + b w) + e (-Nm b + (a + T b) w)
+                a, b = divmod(x, N)
+                xw = -Nm * b % N * N + (a + T * b) % N
+                mxw = multiples[source[xw]].translate(scale[xw])
+                built.append(b"".join(map(mxw.translate, map(sums.__getitem__, mx))))
+            # translate(None) hands back the representative's row itself
+            self._rows = list(map(bytes.translate, map(built.__getitem__, source), scale))
         return self._rows
 
 
@@ -210,11 +277,27 @@ def sl2_order(ring: FiniteRing) -> int:
     """Order of SL2(O/(N)) by census, refused past N = 16 with the product
     table: the quadruples with a*d - b*c = 1, tallied off the |R|^2 products
     as the sum over v of #{(b,c): bc = v} * #{(a,d): ad = 1 + v}.  No closed
-    formula; `verify` compares it with sl2_order_formula."""
-    prod = Counter(b"".join(ring.product_rows()))
-    N, size = ring.N, ring.N * ring.N
+    formula; `verify` compares it with sl2_order_formula.
+
+    The tally is read off one row per unit orbit.  A unit s maps the
+    products of x to those of s*x and each orbit to itself, so every row
+    of an orbit puts the same number of products in each orbit, and
+    #{(b,c): bc = v} is the same for every v of an orbit: the orbit's
+    total over all rows, split evenly among its members.
+    """
+    rows, N = ring.product_rows(), ring.N
+    orbits = _unit_orbits(N)
+    reps, sizes = orbits.reps, orbits.sizes
+    orbit_of = orbits.source.ljust(256, b"\0")
+    totals = [0] * len(reps)
+    for n in set(sizes):                        # each row stands for n rows
+        group = b"".join([rows[x] for x, m in zip(reps, sizes) if m == n])
+        for orbit, k in Counter(group.translate(orbit_of)).items():
+            totals[orbit] += n * k
+    per_code = list(map(floordiv, totals, sizes))
+    prod = list(map(per_code.__getitem__, orbits.source))
     # adding 1 = (1, 0) to a code adds N, modulo |R| = N^2
-    return sum(n * prod[(v + N) % size] for v, n in prod.items())
+    return sum(map(mul, prod, prod[N:] + prod[:N]))
 
 
 def _slots(a: int, b: bytes, c: bytes, ds: list[bytes]) -> bytearray:

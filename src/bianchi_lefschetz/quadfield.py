@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .exactmath import InputError, brief, factorize, is_prime, kronecker, require_bytes
 
@@ -79,20 +79,17 @@ def _odd_primes_to(m: int) -> list[int]:
     return list(compress(range(3, m + 1, 2), sieve[3::2]))
 
 
-def reduced_forms(D: int) -> list[tuple[int, int, int]]:
-    """Primitive reduced positive-definite forms (a, b, c) of discriminant D.
-
-    Reduction means |b| <= a <= c with b >= 0 whenever |b| = a or a = c;
-    one form per class, so the length of this list is the class number of
-    the (fundamental) discriminant D < 0.  Sorted by (a, b).
+def _nonnegative_forms(D: int) -> Iterator[tuple[int, int, int]]:
+    """The primitive reduced forms (a, b, c) of discriminant D with b >= 0,
+    unsorted; with them the reduced forms are the (a, -b, c) for
+    0 < b < a < c, and no others.
 
     Enumerated by b >= 0 first (b = D mod 2, 3 b^2 <= |D|), then by the
     divisors max(b, 1) <= a <= sqrt(q) of q = (b^2 - D) / 4, with
-    c = q / a; the form (a, -b, c) is reduced too when 0 < b < a < c.
-    The divisors come from a sieve over b: an odd prime p divides q
-    exactly when b^2 = D (mod p), at most two classes of b mod p, and
-    since q_{b+2} = q_b + b + 1 the parity of q has period 4 in b.  Only
-    primes up to sqrt(max q) can divide an a that small.  About
+    c = q / a.  The divisors come from a sieve over b: an odd prime p
+    divides q exactly when b^2 = D (mod p), at most two classes of b mod
+    p, and since q_{b+2} = q_b + b + 1 the parity of q has period 4 in b.
+    Only primes up to sqrt(max q) can divide an a that small.  About
     sqrt(|D|) log |D| steps; the memory, about _BYTES_PER_B per b, is
     charged before anything is allocated.
     """
@@ -136,26 +133,43 @@ def reduced_forms(D: int) -> list[tuple[int, int, int]]:
             # b = b0 + 2i = root (mod p), and (p + 1) / 2 inverts 2
             attach(p, (root - b0) * (p + 1) // 2 % p)
 
-    forms = []
     for b, q, found in zip(bs, qs, divisors):
         for a in found:
-            if a < b:
-                continue
-            c = q // a
-            if gcd(a, b, c) != 1:
-                continue
-            forms.append((a, b, c))
-            if 0 < b < a < c:
-                forms.append((a, -b, c))
+            if a >= b:
+                c = q // a
+                if gcd(a, b, c) == 1:
+                    yield a, b, c
+
+
+def reduced_forms(D: int) -> list[tuple[int, int, int]]:
+    """Primitive reduced positive-definite forms (a, b, c) of discriminant D.
+
+    Reduction means |b| <= a <= c with b >= 0 whenever |b| = a or a = c;
+    one form per class, so the length of this list is the class number of
+    the (fundamental) discriminant D < 0.  Sorted by (a, b).  The forms
+    with b >= 0 come from the sieve of _nonnegative_forms.
+    """
+    forms = []
+    for a, b, c in _nonnegative_forms(D):
+        forms.append((a, b, c))
+        if 0 < b < a < c:
+            forms.append((a, -b, c))
     forms.sort()
     return forms
 
 
 @lru_cache(maxsize=256)
 def _form_counts(D: int) -> tuple[int, int]:
-    """h(D) and the ambiguous-form count, one pass; the forms are not kept."""
-    forms = reduced_forms(D)
-    return len(forms), sum(1 for (a, b, c) in forms if b == 0 or a == b or a == c)
+    """h(D) and the ambiguous-form count, counted off _nonnegative_forms
+    with no list and no sort.  A reduced form with b >= 0 is ambiguous
+    exactly when it is not 0 < b < a < c, and then it has no partner
+    (a, -b, c); so h is twice the forms less the ambiguous ones."""
+    forms = ambiguous = 0
+    for a, b, c in _nonnegative_forms(D):
+        forms += 1
+        if not 0 < b < a < c:
+            ambiguous += 1
+    return 2 * forms - ambiguous, ambiguous
 
 
 def class_number_from_discriminant(D: int) -> int:

@@ -36,6 +36,39 @@ def fresh(args, **kwargs):
     return subprocess.run([sys.executable, *args], env=env, **kwargs)
 
 
+_BIG = str(10**4000 + 1)
+# One argv per leaf at least, with integers out of every sensible range.
+LEAF_ARGVS = [
+    ["field", "--d", f"-{_BIG}"],
+    ["lefschetz", "principal", "--d", "-2", "--N", _BIG, "--k", "0"],
+    ["eisenstein", "h2", "--d", "-2", "--N", _BIG, "--k", "0", "--involution", "sigma"],
+    ["bound", "--d", "-2", "--N", _BIG, "--k", "0"],
+    ["sczech", "--d", "-2", "--N", str(10**157)],
+    ["eisenstein", "h1", "--d", "-2", "--p", "5", "--n", str(10**400)],
+    ["eisenstein", "h1", "--d", "-2", "--p", "5", "--n", str(10**8)],
+    ["field", "--d", str(-10**20)],
+    ["lefschetz", "principal", "--d", "-2", "--N", str(2**5000), "--k", "0"],
+    ["lefschetz", "level-one", "--d", "-2", "--k", str(10**12), "--involution", "tau"],
+    ["eisenstein", "h2", "--d", "-2", "--N", str(5**3000), "--k", "0",
+     "--involution", "tau"],
+    ["eisenstein", "h1", "--d", "-2", "--p", "5", "--n", "4000"],
+    ["eisenstein", "h1", "--d", "-2", "--p", "5", "--n", str(10**10)],
+    ["sczech", "--d", "-2", "--N", str(10**6)],
+    ["bound", "--d", "-2", "--N", str(5**3000), "--k", "0"],
+    ["gl2", "--d", "-2", "--k", str(10**12)],
+    ["table", "--d-list", "-2", "--N-list", "5", str(5**3000), "--k-list", "0"],
+    ["verify", str(10**20)],
+    ["bound", "--d", "-2", "--N", "7" * 5000, "--k", "0"],
+    ["table", "--d-list", "-2", "--N-list", "5", "7" * 5000, "--k-list", "0"],
+    ["bound", "--d", "-2", "--N", "5", "--k", "0", "--format", "x" * 5000],
+    ["bound", "--d", "-2", "--N", "5", "--k", "0", "--" + "x" * 5000],
+    ["bound", "--d", "-2", "--N", "5", "--k", "0", *["--" + "z" * 38] * 2000],
+    ["x" * 5000],
+    ["lefschetz", "x" * 5000],
+    ["verify", "x" * 5000],
+]
+
+
 class TestFieldCommand:
     def test_field_record(self, capsys):
         code, out, _ = run_cli(capsys, "field", "--d", "-2")
@@ -386,36 +419,7 @@ class TestOutOfRangeIntegers:
         # one fresh process per leaf, with integers out of every sensible range;
         # a refusal writes a huge integer as its digit count, so stderr stays short.
         # The 10^4000 + 1 queries spend about 2 s in factorize's trial division.
-        big = str(10**4000 + 1)
-        argvs = [
-            ["field", "--d", f"-{big}"],
-            ["lefschetz", "principal", "--d", "-2", "--N", big, "--k", "0"],
-            ["eisenstein", "h2", "--d", "-2", "--N", big, "--k", "0", "--involution", "sigma"],
-            ["bound", "--d", "-2", "--N", big, "--k", "0"],
-            ["sczech", "--d", "-2", "--N", str(10**157)],
-            ["eisenstein", "h1", "--d", "-2", "--p", "5", "--n", str(10**400)],
-            ["eisenstein", "h1", "--d", "-2", "--p", "5", "--n", str(10**8)],
-            ["field", "--d", str(-10**20)],
-            ["lefschetz", "principal", "--d", "-2", "--N", str(2**5000), "--k", "0"],
-            ["lefschetz", "level-one", "--d", "-2", "--k", str(10**12), "--involution", "tau"],
-            ["eisenstein", "h2", "--d", "-2", "--N", str(5**3000), "--k", "0",
-             "--involution", "tau"],
-            ["eisenstein", "h1", "--d", "-2", "--p", "5", "--n", "4000"],
-            ["eisenstein", "h1", "--d", "-2", "--p", "5", "--n", str(10**10)],
-            ["sczech", "--d", "-2", "--N", str(10**6)],
-            ["bound", "--d", "-2", "--N", str(5**3000), "--k", "0"],
-            ["gl2", "--d", "-2", "--k", str(10**12)],
-            ["table", "--d-list", "-2", "--N-list", "5", str(5**3000), "--k-list", "0"],
-            ["verify", str(10**20)],
-            ["bound", "--d", "-2", "--N", "7" * 5000, "--k", "0"],
-            ["table", "--d-list", "-2", "--N-list", "5", "7" * 5000, "--k-list", "0"],
-            ["bound", "--d", "-2", "--N", "5", "--k", "0", "--format", "x" * 5000],
-            ["bound", "--d", "-2", "--N", "5", "--k", "0", "--" + "x" * 5000],
-            ["bound", "--d", "-2", "--N", "5", "--k", "0", *["--" + "z" * 38] * 2000],
-            ["x" * 5000],
-            ["lefschetz", "x" * 5000],
-            ["verify", "x" * 5000],
-        ]
+        argvs = LEAF_ARGVS
         leaves = leaf_commands(cli.build_parser())
         assert leaves == {leaf for leaf in leaves for a in argvs if tuple(a[:len(leaf)]) == leaf}
         for argv in argvs:
@@ -427,6 +431,54 @@ class TestOutOfRangeIntegers:
             assert proc.returncode in (0, 1, 2), what
             if proc.returncode == 1:
                 assert proc.stderr.startswith("error: "), what
+
+
+def _parse_outcome(capsys, parser, argv):
+    """What parsing argv leaves, as main sees it: stdout, stderr, the exit
+    code (1 for a refusal, SystemExit's for --help) and the arguments."""
+    try:
+        args, extras = parser.parse_known_args(argv)
+        code, parsed = None, (vars(args), extras)
+    except InputError as exc:
+        code, parsed = 1, str(exc)
+    except SystemExit as exc:
+        code, parsed = exc.code, None
+    out, err = capsys.readouterr()
+    return out, err, code, parsed
+
+
+_PARSER_ARGVS = [["--help"], ["lefschetz", "--help"], ["lefschetz", "foo"], ["nosuch"],
+                 ["--format", "json", "bound"]]
+
+
+class TestLazyParser:
+    @pytest.mark.parametrize("argv", LEAF_ARGVS + _PARSER_ARGVS,
+                             ids=lambda argv: " ".join(argv)[:40])
+    def test_branch_parses_as_the_whole_parser(self, capsys, argv):
+        # main reads argv only through the parse, so the parse's outcome
+        # stands for main's; the 10^4000 + 1 queries would take seconds more
+        lazy = _parse_outcome(capsys, cli.build_parser(argv), argv)
+        assert lazy == _parse_outcome(capsys, cli.build_parser(), argv)
+
+    @pytest.mark.parametrize("argv", _PARSER_ARGVS + [
+        ["bound", "--d", "-2", "--N", "5", "--k", "0"], ["bound", "--help"], ["verify", "nosuch"]])
+    def test_main_writes_the_same(self, capsys, monkeypatch, argv):
+        def run():
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return (code, *capsys.readouterr())
+        lazy = run()
+        whole = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda argv=None: whole())
+        assert lazy == run()
+
+    def test_a_leaf_builds_its_branch_alone(self):
+        assert leaf_commands(cli.build_parser(["lefschetz", "principal", "--d", "-2"])) == \
+            {("lefschetz", "principal")}
+        assert leaf_commands(cli.build_parser(["verify"])) == {("verify",)}
+        assert leaf_commands(cli.build_parser(["lefschetz"])) == leaf_commands(cli.build_parser())
 
 
 class TestVerifyCommand:
@@ -523,8 +575,8 @@ class TestVerifyCommand:
         quadfield.make_field.cache_clear()
         quadfield._form_counts.cache_clear()
         enumerated = []
-        real = quadfield.reduced_forms
-        monkeypatch.setattr(quadfield, "reduced_forms",
+        real = quadfield._nonnegative_forms
+        monkeypatch.setattr(quadfield, "_nonnegative_forms",
                             lambda D: enumerated.append(D) or real(D))
         code, out, err = run_cli(capsys, "verify", "classgroup")
         assert code == 0, err
@@ -637,8 +689,8 @@ def test_table_enumerates_each_field_once(monkeypatch, capsys):
     quadfield.make_field.cache_clear()
     quadfield._form_counts.cache_clear()
     enumerated = []
-    real = quadfield.reduced_forms
-    monkeypatch.setattr(quadfield, "reduced_forms",
+    real = quadfield._nonnegative_forms
+    monkeypatch.setattr(quadfield, "_nonnegative_forms",
                         lambda D: enumerated.append(D) or real(D))
     code, out, err = run_cli(capsys, "table", "--d-list", "-9999991", "--N-list", "3", "5",
                              "--k-list", "0", "1")

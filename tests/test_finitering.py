@@ -16,6 +16,9 @@ from bianchi_lefschetz.quadfield import (INERT, RAMIFIED, SPLIT, QuadField, make
                                          splitting_type, unimodular_column_count)
 
 F2, F5, F7, F11 = (make_field(d) for d in (-2, -5, -7, -11))
+# (d, N, maximal ideals): one (ramified, inert) up to six
+MASK_GUARD_LEVELS = [(-5, 625, 1), (-7, 729, 1), (-7, 64, 2), (-2, 297, 4), (-7, 506, 6),
+                     (-7, 1012, 6)]
 
 
 def is_unimodular_pair_oracle(field: QuadField, N: int, x: tuple[int, int], y: tuple[int, int]) -> bool:
@@ -277,8 +280,7 @@ class TestMaskGuard:
         monkeypatch.setattr(exactmath, "MEMORY_BUDGET", need)
         assert len(ring.masks()) == 101**2
 
-    @pytest.mark.parametrize("d,N,ideals", [(-5, 625, 1), (-7, 729, 1), (-7, 64, 2),
-                                            (-2, 297, 4), (-7, 506, 6), (-7, 1012, 6)])
+    @pytest.mark.parametrize("d,N,ideals", MASK_GUARD_LEVELS)
     def test_charge_bounds_the_peak(self, d, N, ideals):
         # one maximal ideal (ramified, inert) up to six, on a fresh ring
         ring = FiniteRing(make_field(d), N)
@@ -529,6 +531,20 @@ def _product_rows_ref(ring):
              for c in range(N) for e in range(N)] for a in range(N) for b in range(N)]
 
 
+def _masks_ref(ring):
+    # the earlier tiles: p^2 membership tests per maximal ideal
+    N, bits, i = ring.N, 0, 0
+    for p, _, spl, roots in ring.primes:
+        for r in ((None,) if spl == INERT else roots):
+            inside = [[a % p == b % p == 0 if r is None else (a + b * r) % p == 0
+                       for b in range(p)] for a in range(p)]
+            tile = b"".join(bytes(1 << i if hit else 0 for hit in row) * (N // p)
+                            for row in inside)
+            bits |= int.from_bytes(tile * (N // p), "big")
+            i += 1
+    return bits.to_bytes(N * N, "big")
+
+
 def _inverse_search_ref(ring):
     # the earlier O(|units|^2) search for each unit's inverse
     inv = {}
@@ -646,9 +662,12 @@ P1_LEVELS = [(F2, 3), (F2, 4), (F2, 5), (F7, 7), (F2, 9), (F7, 9)]
 COSET_LEVELS = [3, 5, 7, 9, 11, 13, 25, 27, 49]
 
 
+# (Z/N)^x acting by scaling is not cyclic at 8, 12, 15 and 16, and has
+# orbits with stabilisers wherever N is not prime
 PRODUCT_LEVELS = [(F7, 2, SPLIT), (F7, 3, INERT), (F5, 5, RAMIFIED), (F2, 6, None),
                   (F7, 12, None), (F5, 15, None), (F2, 11, SPLIT), (F7, 16, SPLIT),
-                  (F11, 16, INERT), (F2, 16, RAMIFIED)]
+                  (F11, 16, INERT), (F2, 16, RAMIFIED), (F7, 8, SPLIT), (F11, 10, None),
+                  (F7, 14, None)]
 
 
 class TestAgainstReferences:
@@ -661,6 +680,18 @@ class TestAgainstReferences:
         rows = ring.product_rows()
         assert {type(row) for row in rows} == {bytes}
         assert [list(row) for row in rows] == _product_rows_ref(ring)
+
+    @pytest.mark.parametrize("d", [-2, -7, -11])
+    def test_masks_at_every_small_level(self, d):
+        f = make_field(d)
+        for N in range(2, 17):
+            ring = FiniteRing(f, N)
+            assert ring.masks() == _masks_ref(ring), N
+
+    @pytest.mark.parametrize("d,N,ideals", MASK_GUARD_LEVELS)
+    def test_masks_at_the_guard_levels(self, d, N, ideals):
+        ring = FiniteRing(make_field(d), N)
+        assert ring.masks() == _masks_ref(ring)
 
     @pytest.mark.parametrize("f,N", [(F7, 4), (F2, 5), (F5, 9), (F7, 10)])
     def test_row_is_the_translate_table_of_its_element(self, f, N):
